@@ -4,7 +4,8 @@ With q = 2^m, 0 <= i < m and d = gcd(i, m) (d = m when i = 0), the number
 of b in F_q* for which the trinomial has no root in F_q is
 2^d (q-1) / (2 (2^d+1)) when m/d is even and 2^d (q+1) / (2 (2^d+1)) when
 m/d is odd. `bluher_formula` evaluates that in exact integer arithmetic;
-`bluher_bruteforce` realizes the definition by scanning every (b, x) pair.
+`bluher_bruteforce` realizes the definition by scanning every (b, x) pair
+with the field's slope kernel.
 The two routes are independent and must agree on every (m, i).
 """
 
@@ -42,21 +43,16 @@ def bluher_formula(m: int, i: int) -> int:
 def bluher_bruteforce(field: Field, i: int) -> int:
     """#{b != 0 : x^(2^i+1) + b*x + b has no root}, scanning all (b, x).
 
-    b*x + b = b*(x+1), so each b costs one vectorized multiply over the
-    whole field plus a zero test; the full scan is O(q^2) evaluations.
+    b*x + b = b*y with y = x + 1, so the scan sweeps every slope b over
+    p(y) = (y + 1)^(2^i+1) with the field's slope kernel and tests each
+    row for a zero; the full scan is O(q^2) evaluations. The point y = 0
+    gives p(0) = 1, never a root.
     """
     if not 0 <= i < field.m:
         raise ValueError(f"need 0 <= i < m, got i={i}, m={field.m}")
-    q = field.q
-    p = field.pow_all((1 << i) + 1)
-    x1 = np.arange(q, dtype=np.int64) ^ 1
-    count = 0
-    for b in range(1, q):
-        vals = p ^ field.mul_arrays(b, x1)
-        if not (vals == 0).any():
-            count += 1
-    return count
-
+    y = np.arange(field.q, dtype=np.int64)
+    p = field.pow_all((1 << i) + 1)[y ^ 1]
+    return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
 
 def agreement_case(m: int, i: int) -> BluherCount:
     formula = bluher_formula(m, i)

@@ -3,8 +3,9 @@
 For a map f and slope t, the image set I_f(t) = {f(x) + t*x : x in F_q}
 and the fiber histogram omega_t(k) = #{y : exactly k preimages} are the
 raw material every closed-form count in this package is checked against.
-Per-t work materializes a q-slot bitmap or count array, so a sweep over
-all t costs O(q^2) time and O(q) space.
+The values f(x) + t*x come from `Field.slope_sweep`; per slope they are
+reduced to a q-slot bitmap or count array, so a sweep over all t costs
+O(q^2) time and O(q) space.
 """
 
 from __future__ import annotations
@@ -100,40 +101,22 @@ class FiberDistribution:
         return {k: c for k, c in self.omega.items() if c}
 
 
-@dataclass
-class ImageSetStats:
-    t: int
-    size: int
-    values: frozenset[int] | None = None
-
-
 def _g_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
-    x = np.arange(field.q, dtype=np.int64)
-    return values_all(field, fn) ^ field.mul_arrays(t, x)
-
-
-def image_set(field: Field, fn: FunctionSpec, t: int,
-              include_values: bool = False) -> ImageSetStats:
-    """Exact value set of x -> f(x) + t*x over all q inputs."""
-    vals = _g_values(field, fn, t)
-    seen = np.zeros(field.q, dtype=bool)
-    seen[vals] = True
-    values = frozenset(int(v) for v in np.flatnonzero(seen)) if include_values else None
-    return ImageSetStats(t=t, size=int(np.count_nonzero(seen)), values=values)
+    """f(x) + t*x for every x, in the kernel's order."""
+    (_, vals), = field.slope_sweep(values_all(field, fn), [t])
+    return vals
 
 
 def image_values(field: Field, fn: FunctionSpec, t: int) -> list[int]:
     """Sorted values of x -> f(x) + t*x."""
-    vals = _g_values(field, fn, t)
     seen = np.zeros(field.q, dtype=bool)
-    seen[vals] = True
+    seen[_g_values(field, fn, t)] = True
     return [int(v) for v in np.flatnonzero(seen)]
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:
     """Exact histogram of preimage counts over all y, k = 0 included."""
-    vals = _g_values(field, fn, t)
-    counts = np.bincount(vals, minlength=field.q)
+    counts = np.bincount(_g_values(field, fn, t), minlength=field.q)
     hist = np.bincount(counts)
     omega = {int(k): int(c) for k, c in enumerate(hist) if c}
     return FiberDistribution(t=t, omega=omega)
@@ -142,12 +125,10 @@ def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribut
 def image_sizes_all(field: Field, fn: FunctionSpec) -> np.ndarray:
     """|I_f(t)| for every t: one O(q) bitmap pass per slope."""
     q = field.q
-    p = values_all(field, fn)
-    x = np.arange(q, dtype=np.int64)
     sizes = np.empty(q, dtype=np.int64)
     seen = np.empty(q, dtype=bool)
-    for t in range(q):
+    for t, vals in field.slope_sweep(values_all(field, fn), range(q)):
         seen[:] = False
-        seen[p ^ field.mul_arrays(t, x)] = True
+        seen[vals] = True
         sizes[t] = np.count_nonzero(seen)
     return sizes

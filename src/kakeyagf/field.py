@@ -13,11 +13,15 @@ downstream is invariant under the choice of irreducible modulus, and
 modulus.
 
 Scalar operations are carry-less multiply/reduce on ints. Bulk operations
-(`mul_arrays`, `pow_all`, `trace_table`) work on numpy arrays through
-discrete log/antilog tables built lazily from a multiplicative generator;
-the full-field sweeps in the other modules run on those. Fields are
-immutable after construction apart from the idempotent table caches, so
-instances are safe to share across workers.
+(`mul_arrays`, `pow_all`) work on numpy arrays through discrete
+log/antilog tables built lazily from a multiplicative generator, and
+`trace_table` is the parity of each element masked by the traces of the
+basis elements. `slope_sweep` is the one kernel behind every full-slope
+sweep in the other modules: it yields p(x) + t*x over all x for each slope
+t, walking x in discrete-log order so that t*x is a contiguous slice of
+the antilog table. This module is the only one that knows that order.
+Fields are immutable after construction apart from the idempotent table
+caches, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -57,10 +61,13 @@ def smallest_irreducible(m: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {m}")
 
 
-def exact_div(num: int, den: int) -> int:
-    """Integer quotient that must be exact; a remainder means a formula bug."""
+def exact_div(num, den):
+    """Integer quotient that must be exact; a remainder means a formula bug.
+
+    num may be an int or an integer array; every entry must divide exactly.
+    """
     quo, rem = divmod(num, den)
-    if rem:
+    if np.any(rem):
         raise ArithmeticError(f"{num}/{den} is not an exact division")
     return quo
 
@@ -214,19 +221,42 @@ class Field:
         return out
 
     def trace_table(self) -> np.ndarray:
-        """trace_abs of every element, cached."""
+        """trace_abs of every element, cached.
+
+        The trace is GF(2)-linear, so Tr(x) is the parity of x & mask, where
+        bit k of mask is Tr(2^k).
+        """
         if self._trace is None:
-            x = np.arange(self.q, dtype=np.int64)
-            acc = x.copy()
-            s = x
-            for _ in range(self.m - 1):
-                s = self.mul_arrays(s, s)
-                acc ^= s
-            if (acc >> 1).any():
+            basis = [self.trace_abs(1 << k) for k in range(self.m)]
+            if any(b >> 1 for b in basis):
                 raise ArithmeticError("trace values escaped {0, 1}")
-            self._trace = acc
+            mask = sum(b << k for k, b in enumerate(basis))
+            x = np.arange(self.q, dtype=np.int64)
+            self._trace = (np.bitwise_count(x & mask) & 1).astype(np.int64)
         return self._trace
 
+    def slope_sweep(self, p, ts):
+        """Yield (t, p(x) + t*x for every x) for each slope t in ts.
+
+        p holds p(x) in encoding order. The yielded values run over x = 0
+        first, then x = g^0, g^1, ..., g^(q-2) for the table generator g, so
+        t*x is the slice exp2[log t : log t + q - 1] and no product is
+        gathered. The yielded array is one buffer that the next slope
+        overwrites; copy it to keep it.
+        """
+        exp, exp2, log = self._tables()
+        n = self.q - 1
+        p = np.asarray(p, dtype=np.int64)
+        p_units = p[exp]  # p(g^k), k = 0..q-2
+        out = np.empty(self.q, dtype=np.int64)
+        out[0] = p[0]
+        for t in ts:
+            if t == 0:
+                out[1:] = p_units
+            else:
+                k = log[t]
+                np.bitwise_xor(p_units, exp2[k:k + n], out=out[1:])
+            yield t, out
 
 @functools.lru_cache(maxsize=None)
 def _default_field(m: int) -> Field:

@@ -9,7 +9,10 @@ For odd m and t != 0, those facts turn the image size into
 |I(t)| = (6q + 1 - v + 4*Tr(t)) / 8, where v counts the pairs (x, z) with
 x^2 + z*x = z^3 + z^2 + t. v is computable in O(q): the z = 0 column
 always contributes one pair, and each z != 0 contributes 2 or 0 by the
-trace criterion for the quadratic in x. |v - q| <= 2*sqrt(q) holds for
+trace criterion for the quadratic in x, Tr((z^3 + z^2 + t)/z^2) = 0.
+With w = z^-2, a bijection of the units, that argument is
+w^(q/2-1) + 1 + t*w, so the counts for any set of slopes are one sweep of
+the field's slope kernel plus a trace lookup. |v - q| <= 2*sqrt(q) holds for
 this cubic curve (checked, not assumed, by every sweep here), which caps
 |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8); `sharpness_search` reports the
 slopes that reach the cap.
@@ -21,12 +24,12 @@ import math
 import random
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
 from .field import Field, exact_div, make_field
-from .fiber import FiberDistribution, Quartic, fiber_distribution, image_sizes_all, values_all
+from .fiber import (FiberDistribution, Quartic, fiber_distribution, image_sizes_all,
+                    image_values, values_all)
 from .parallel import parallel_map
 
 
@@ -86,14 +89,22 @@ class SharpnessResult:
     sharp: bool
 
 
-@lru_cache(maxsize=None)
-def _curve_arrays(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    q = field.q
-    z = np.arange(1, q, dtype=np.int64)
-    z2 = field.mul_arrays(z, z)
-    base = field.mul_arrays(z2, z) ^ z2               # z^3 + z^2
-    inv_sq = field.pow_all((q - 3) % (q - 1))[1:]     # z^(-2) for z != 0
-    return base, inv_sq
+def _curve_counts(field: Field, ts) -> np.ndarray:
+    """v(t) for each slope in ts: one kernel sweep, then a trace count.
+
+    The sweep runs over w = z^-2, whose w = 0 entry stands for no z and is
+    taken back out of each count.
+    """
+    zero_trace = field.trace_table() == 0
+    p = field.pow_all(field.q // 2 - 1) ^ 1   # w^(q/2-1) + 1
+    skip = int(zero_trace[p[0]])
+    return np.array([1 + 2 * (int(np.count_nonzero(zero_trace[vals])) - skip)
+                     for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)
+
+
+def _size_from_count(q: int, v, delta):
+    """(6q + 1 - v + 4*Tr(t)) / 8 for ints or arrays; the division must be exact."""
+    return exact_div(6 * q + 1 - v + 4 * delta, 8)
 
 
 def curve_point_count(field: Field, t: int) -> CurvePointCount:
@@ -102,10 +113,7 @@ def curve_point_count(field: Field, t: int) -> CurvePointCount:
     t = 0 is allowed for diagnostics, but the curve may degenerate there,
     so no near-q guarantee on v is implied for it.
     """
-    base, inv_sq = _curve_arrays(field)
-    tr = field.trace_table()
-    arg = field.mul_arrays(base ^ t, inv_sq)
-    v = 1 + 2 * int(np.count_nonzero(tr[arg] == 0))
+    v = int(_curve_counts(field, [t])[0])
     return CurvePointCount(t=t, v=v, delta=field.trace_abs(t))
 
 
@@ -116,7 +124,7 @@ def quartic_image_exact(field: Field, t: int) -> int:
     if t == 0:
         raise ValueError("the exact image-size formula needs t != 0")
     c = curve_point_count(field, t)
-    return exact_div(6 * field.q + 1 - c.v + 4 * c.delta, 8)
+    return _size_from_count(field.q, c.v, c.delta)
 
 
 def quartic_floor_bound(m: int) -> int:
@@ -145,18 +153,9 @@ def sharpness_search(field: Field) -> SharpnessResult:
         raise ValueError("the sharpness sweep applies to odd m")
     q = field.q
     bound = quartic_floor_bound(field.m)
-    base, inv_sq = _curve_arrays(field)
-    tr = field.trace_table()
-    best = 0
-    witnesses: list[int] = []
-    for t in range(1, q):
-        arg = field.mul_arrays(base ^ t, inv_sq)
-        v = 1 + 2 * int(np.count_nonzero(tr[arg] == 0))
-        size = exact_div(6 * q + 1 - v + 4 * int(tr[t]), 8)
-        if size > best:
-            best, witnesses = size, [t]
-        elif size == best:
-            witnesses.append(t)
+    sizes = _size_from_count(q, _curve_counts(field, range(1, q)), field.trace_table()[1:])
+    best = int(sizes.max())
+    witnesses = [int(t) for t in np.flatnonzero(sizes == best) + 1]
     return SharpnessResult(max_size=best, witnesses=witnesses, bound=bound,
                            sharp=best == bound)
 
@@ -167,15 +166,13 @@ def sharpness_search(field: Field) -> SharpnessResult:
 def fiber_formula_case(field: Field) -> dict:
     """All fiber histograms of one field against the closed forms."""
     m, q = field.m, field.q
-    p = values_all(field, Quartic())
     tr = field.trace_table()
-    x = np.arange(q, dtype=np.int64)
     bad: list[int] = []
     measured = fiber_distribution(field, Quartic(), 0)
     if measured.nonzero() != omega0_distribution(m).nonzero():
         bad.append(0)
-    for t in range(1, q):
-        counts = np.bincount(p ^ field.mul_arrays(t, x), minlength=q)
+    for t, vals in field.slope_sweep(values_all(field, Quartic()), range(1, q)):
+        counts = np.bincount(vals, minlength=q)
         trt = int(tr[t])
         if (int(np.count_nonzero(counts == 1)) != omega1_formula(m, trt)
                 or int(np.count_nonzero(counts == 3)) != omega3_formula(trt)
@@ -200,31 +197,16 @@ def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> di
     formula path still sweeps every t.
     """
     q = field.q
-    tr = field.trace_table()
-    base, inv_sq = _curve_arrays(field)
-    hasse_ok = True
-    sizes = np.empty(q, dtype=np.int64)
-    for t in range(1, q):
-        arg = field.mul_arrays(base ^ t, inv_sq)
-        v = 1 + 2 * int(np.count_nonzero(tr[arg] == 0))
-        if (v - q) * (v - q) > 4 * q:
-            hasse_ok = False
-        sizes[t] = exact_div(6 * q + 1 - v + 4 * int(tr[t]), 8)
+    v = _curve_counts(field, range(1, q))
+    hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
+    sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
     if spot is None:
         brute = image_sizes_all(field, Quartic())
-        match_ok = bool(np.all(sizes[1:] == brute[1:]))
+        match_ok = bool(np.array_equal(sizes, brute[1:]))
         checked = q - 1
     else:
         ts = sorted(random.Random(seed).sample(range(1, q), spot))
-        p = values_all(field, Quartic())
-        x = np.arange(q, dtype=np.int64)
-        seen = np.empty(q, dtype=bool)
-        match_ok = True
-        for t in ts:
-            seen[:] = False
-            seen[p ^ field.mul_arrays(t, x)] = True
-            if int(np.count_nonzero(seen)) != sizes[t]:
-                match_ok = False
+        match_ok = all([len(image_values(field, Quartic(), t)) == sizes[t - 1] for t in ts])
         checked = len(ts)
     return {"m": field.m, "hasse_ok": hasse_ok, "match_ok": match_ok,
             "brute_checked": checked, "ok": hasse_ok and match_ok}

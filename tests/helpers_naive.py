@@ -43,11 +43,17 @@ def naive_is_irreducible(p: int) -> bool:
     return True
 
 
+def naive_irreducibles(m: int) -> list[int]:
+    """Every irreducible polynomial of degree m, in encoding order.
+
+    The first is the library's default modulus; the second, where there is
+    one, serves as a non-default modulus.
+    """
+    return [p for p in range((1 << m) | 1, 1 << (m + 1), 2) if naive_is_irreducible(p)]
+
+
 def naive_smallest_irreducible(m: int) -> int:
-    for cand in range((1 << m) | 1, 1 << (m + 1), 2):
-        if naive_is_irreducible(cand):
-            return cand
-    raise AssertionError
+    return naive_irreducibles(m)[0]
 
 
 def naive_image(field, fn, t, evaluate) -> set[int]:
@@ -73,10 +79,6 @@ def naive_curve_pairs(field, t: int) -> int:
             if field.mul(x, x) ^ field.mul(z, x) == rhs:
                 count += 1
     return count
-
-
-def naive_quad_roots(field, z: int, c: int) -> int:
-    return sum(1 for x in field.elements() if field.mul(x, x) ^ field.mul(z, x) == c)
 
 
 def naive_bluher(field, i: int) -> int:

@@ -6,6 +6,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from kakeyagf import bluher
+from kakeyagf.cli import main
+
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
 
 
@@ -38,6 +43,13 @@ def test_sharpness_even_m_rejected():
     r = run_cli("sharpness", "--m", "4")
     assert r.returncode == 2
     assert "odd" in r.stderr
+
+
+def test_sharpness_m15_attains_bound():
+    # the floor bound is attained at m = 15 too, so the verdict gates the exit code
+    r = run_cli("sharpness", "--m", "15", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["sharp"] is True
 
 
 def test_sharpness_json_schema():
@@ -115,3 +127,27 @@ def test_all_reduced_and_repeatable():
     r2 = run_cli("all", "--m-max", "4", "--format", "json")
     assert r1.returncode == 0 and json.loads(r1.stdout)["ok"] is True
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["gold", "--m", "4", "--i", "4"],
+    ["gold", "--m", "4", "--i", "0"],
+    ["gold", "--m", "5", "--i", "1", "--modulus", "13"],   # degree 4, not 5
+    ["quartic", "--m", "3", "--modulus", "9"],             # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    ["bounds", "--m-range", "0..2", "--n-range", "1..2"],
+    ["bounds", "--m-range", "1..2", "--n-range", "0..2"],
+    ["verify-bluher", "--m-max", "1"],
+    ["verify-bluher", "--m-max", "21"],
+])
+def test_bad_input_is_usage_error(args, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_library_fault_is_not_usage_error(monkeypatch):
+    def fault(m, i):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(bluher, "bluher_formula", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify-bluher", "--m-max", "3"])

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from kakeyagf.field import make_field, smallest_irreducible
 from kakeyagf.fiber import (Gold, Quartic, SparseExponentSum, evaluate, fiber_distribution,
-                            function_label, image_set, image_sizes_all, image_values)
+                            function_label, image_sizes_all, image_values)
 
-from helpers_naive import naive_fiber, naive_image
+from helpers_naive import naive_fiber, naive_image, naive_irreducibles
 
 
 def test_evaluate_frozen():
@@ -28,13 +28,12 @@ def test_gold_index_validated():
         evaluate(f4, Gold(-1), 1)
 
 
-def test_image_set_frozen():
+def test_image_values_frozen():
     f4, f8 = make_field(2), make_field(3)
-    assert image_set(f4, Gold(1), 0).size == 2
-    assert image_set(f4, Gold(1), 1).size == 3
-    assert image_set(f8, Quartic(), 0).size == 4
-    stats = image_set(f4, Gold(1), 1, include_values=True)
-    assert stats.values == frozenset({0, 2, 3})
+    assert len(image_values(f4, Gold(1), 0)) == 2
+    assert len(image_values(f4, Gold(1), 1)) == 3
+    assert len(image_values(f8, Quartic(), 0)) == 4
+    assert image_values(f4, Gold(1), 1) == [0, 2, 3]
 
 
 def test_fiber_distribution_frozen():
@@ -48,13 +47,14 @@ FNS = [Gold(1), Quartic(), SparseExponentSum(((2, 1), (3, 1)))]
 @pytest.mark.parametrize("m", range(2, 7))
 @pytest.mark.parametrize("fn", FNS, ids=function_label)
 def test_against_scan_oracle(m, fn):
-    field = make_field(m)
-    sizes = image_sizes_all(field, fn)
-    for t in field.elements():
-        ref_image = naive_image(field, fn, t, evaluate)
-        assert sizes[t] == len(ref_image)
-        assert set(image_values(field, fn, t)) == ref_image
-        assert fiber_distribution(field, fn, t).nonzero() == naive_fiber(field, fn, t, evaluate)
+    for modulus in naive_irreducibles(m)[:2]:
+        field = make_field(m, modulus)
+        sizes = image_sizes_all(field, fn)
+        for t in field.elements():
+            ref_image = naive_image(field, fn, t, evaluate)
+            assert sizes[t] == len(ref_image)
+            assert set(image_values(field, fn, t)) == ref_image
+            assert fiber_distribution(field, fn, t).nonzero() == naive_fiber(field, fn, t, evaluate)
 
 
 def test_sparse_profiles_inverse_plus_square():
@@ -89,7 +89,7 @@ def test_sum_identities_large_fields_spot(m):
             dist = fiber_distribution(field, fn, t)
             assert dist.total_values() == field.q
             assert dist.total_preimages() == field.q
-            assert dist.image_size() == image_set(field, fn, t).size
+            assert dist.image_size() == len(image_values(field, fn, t))
 
 
 @pytest.mark.parametrize("m", [4, 6])

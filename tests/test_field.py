@@ -1,12 +1,15 @@
 """GF(2^m) arithmetic against naive polynomial oracles and field axioms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kakeyagf.field import Field, is_irreducible, make_field, poly_mod, smallest_irreducible
 
-from helpers_naive import naive_is_irreducible, naive_mul, naive_quad_roots, naive_smallest_irreducible
+from helpers_naive import (naive_irreducibles, naive_is_irreducible, naive_mul,
+                           naive_smallest_irreducible)
 
 
 def test_smallest_irreducible_frozen():
@@ -137,6 +140,25 @@ def test_trace_abs_frozen():
     assert make_field(5).trace_abs(0) == 0
 
 
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_trace_table_matches_scalar(m):
+    for modulus in naive_irreducibles(m)[:2]:
+        f = make_field(m, modulus)
+        assert f.trace_table().tolist() == [f.trace_abs(a) for a in f.elements()]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_slope_sweep_matches_scalar(m):
+    # every row is the multiset {p(x) + t*x}, p(x) = x^3, on schoolbook products
+    for modulus in naive_irreducibles(m)[:2]:
+        f = make_field(m, modulus)
+        p = [naive_mul(f.modulus, x, naive_mul(f.modulus, x, x)) for x in f.elements()]
+        rows = {t: Counter(vals.tolist()) for t, vals in f.slope_sweep(p, f.elements())}
+        assert sorted(rows) == list(f.elements())
+        for t, got in rows.items():
+            assert got == Counter(p[x] ^ naive_mul(f.modulus, t, x) for x in f.elements())
+
+
 @pytest.mark.parametrize("m", range(1, 14))
 def test_trace_zero_count(m):
     f = make_field(m)
@@ -175,10 +197,12 @@ def test_quad_root_count_frozen():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_quad_root_count_exhaustive(m):
+    # every (z, c): the root count is the histogram of x^2 + z*x at c
     f = make_field(m)
     for z in f.elements():
+        roots = Counter(naive_mul(f.modulus, x, x ^ z) for x in f.elements())
         for c in f.elements():
-            assert f.quad_root_count(z, c) == naive_quad_roots(f, z, c)
+            assert f.quad_root_count(z, c) == roots[c]
 
 
 @given(st.integers(1, 10), st.data())

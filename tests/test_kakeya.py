@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kakeyagf.field import make_field
-from kakeyagf.fiber import Gold, Quartic, SparseExponentSum, image_values
+from kakeyagf.fiber import Gold, Quartic, SparseExponentSum, evaluate, image_values
 from kakeyagf.kakeya import (KakeyaSet, bound_dominance_rows, bound_eval, bound_report,
                              build_kakeya, canonical_directions, construction_case,
                              is_gf2_affine, kakeya_size_from_images, pack_point,
@@ -35,6 +35,29 @@ def test_affinity_gate():
     assert is_gf2_affine(make_field(3), SparseExponentSum(((2, 1), (1, 1), (0, 5))))
     with pytest.raises(ValueError):
         build_kakeya(f4, 2, Gold(0))
+
+
+def _pairwise_affine(field, fn):
+    vals = [evaluate(field, fn, x) for x in field.elements()]
+    return all(vals[x ^ y] == vals[x] ^ vals[y] ^ vals[0]
+               for x in field.elements() for y in field.elements())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_affinity_gate_matches_pairwise_definition(m):
+    field = make_field(m)
+    fns = [Gold(i) for i in range(m)] + [Quartic(), SparseExponentSum(((2, 1), (1, 1), (0, 1))),
+                                         SparseExponentSum(((4, 1), (3, 1)))]
+    for fn in fns:
+        assert is_gf2_affine(field, fn) == _pairwise_affine(field, fn)
+
+
+def test_affinity_gate_exhaustive_large_field():
+    # sum of x^k over 1 <= k < q is 1 at x = 1 and 0 elsewhere: it breaks
+    # additivity only on the pairs that involve 1
+    field = make_field(12)
+    assert is_gf2_affine(field, SparseExponentSum(((2, 1), (4, 3), (1024, 7), (0, 5))))
+    assert not is_gf2_affine(field, SparseExponentSum(tuple((k, 1) for k in range(1, field.q))))
 
 
 def test_build_gf4_gold1():

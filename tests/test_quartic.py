@@ -4,13 +4,13 @@ import mpmath
 import pytest
 
 from kakeyagf.field import make_field
-from kakeyagf.fiber import Quartic, fiber_distribution, image_set
-from kakeyagf.quartic import (curve_point_count, fiber_formula_case, floor_bound_consistency,
-                              image_exact_case, image_record, omega0_distribution,
-                              omega1_formula, omega3_formula, quartic_floor_bound,
-                              quartic_image_exact, sharpness_search)
+from kakeyagf.fiber import Quartic, fiber_distribution, image_values
+from kakeyagf.quartic import (_curve_counts, curve_point_count, fiber_formula_case,
+                              floor_bound_consistency, image_exact_case, image_record,
+                              omega0_distribution, omega1_formula, omega3_formula,
+                              quartic_floor_bound, quartic_image_exact, sharpness_search)
 
-from helpers_naive import naive_curve_pairs, naive_image
+from helpers_naive import naive_curve_pairs, naive_image, naive_irreducibles
 from kakeyagf.fiber import evaluate
 
 
@@ -56,6 +56,13 @@ def test_curve_count_matches_pair_enumeration(m):
         assert curve_point_count(field, t).v == naive_curve_pairs(field, t)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_all_slope_curve_counts_second_modulus(m):
+    field = make_field(m, naive_irreducibles(m)[1])
+    expected = [naive_curve_pairs(field, t) for t in field.elements()]
+    assert _curve_counts(field, field.elements()).tolist() == expected
+
+
 def test_curve_count_gf2():
     field = make_field(1)
     c = curve_point_count(field, 1)
@@ -69,7 +76,7 @@ def test_image_exact_frozen_gf8():
     expected = [5, 5, 6, 5, 6, 5, 6]
     for t in range(1, 8):
         assert quartic_image_exact(field, t) == expected[t - 1]
-        assert quartic_image_exact(field, t) == image_set(field, Quartic(), t).size
+        assert quartic_image_exact(field, t) == len(image_values(field, Quartic(), t))
         assert quartic_image_exact(field, t) <= 6
 
 
