@@ -8,9 +8,7 @@ renderings of the same report object.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. Input is validated here, so exit 2 means bad input and nothing
-else; apart from the kakeya verb's rejection of a map the construction
-cannot use, an exception raised inside the library is a fault and
-propagates.
+else; an exception raised inside the library is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .field import MAX_DEGREE, make_field
 from .fiber import Gold, Quartic, fiber_distribution
 
 USAGE_ERROR = 2
+QUARTIC_SWEEP_MAX_M = 18  # the full quartic sweep is O(q^2): about 4x per degree
 
 
 @dataclass
@@ -166,6 +165,9 @@ def _run_gold(config: RunConfig) -> int:
 
 
 def _run_quartic(config: RunConfig) -> int:
+    if config.t is None and config.m > QUARTIC_SWEEP_MAX_M:
+        raise UsageError(f"quartic --m {config.m} sweeps every slope, which is out of reach "
+                         f"above m = {QUARTIC_SWEEP_MAX_M}; query one slope with --t")
     field = _field_for(config)
     m = field.m
     if config.t is not None:
@@ -216,15 +218,21 @@ def _run_sharpness(config: RunConfig) -> int:
 def _run_kakeya(config: RunConfig) -> int:
     field = _field_for(config)
     fn = _parse_function(config.f)
-    try:
-        ks = kakeya.build_kakeya(field, config.n, fn, materialize_cap=config.cap)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if isinstance(fn, Gold) and not 0 <= fn.i < field.m:
+        raise UsageError(f"gold index {fn.i} outside 0..{field.m - 1}")
+    if kakeya.is_gf2_affine(field, fn):
+        raise UsageError(f"{config.f} is GF(2)-affine; the construction needs a non-linear map")
+    # only the check uses the points, and they pack into ints only up to PACKED_BITS
+    packable = config.n * field.m <= kakeya.PACKED_BITS
+    ks = kakeya.build_kakeya(field, config.n, fn,
+                             materialize_cap=config.cap if config.check and packable else 0)
     rep = kakeya.bound_report(field, config.n, fn, ks.size)
     verified = None
     if config.check:
         if ks.points is None:
-            print("materialization cap exceeded; line check skipped", file=sys.stderr)
+            why = "materialization cap exceeded" if packable else (
+                f"packed points need n*m <= {kakeya.PACKED_BITS} bits")
+            print(f"{why}; line check skipped", file=sys.stderr)
         else:
             verified = kakeya.verify_kakeya(ks).ok
     payload = {"q": field.q, "n": config.n, "f": rep.f, "size": ks.size,

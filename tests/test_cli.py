@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from kakeyagf import bluher
+from kakeyagf import bluher, kakeya
 from kakeyagf.cli import main
 
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
@@ -138,6 +138,8 @@ def test_all_reduced_and_repeatable():
     ["bounds", "--m-range", "1..2", "--n-range", "0..2"],
     ["verify-bluher", "--m-max", "1"],
     ["verify-bluher", "--m-max", "21"],
+    ["kakeya", "--m", "3", "--n", "2", "--f", "gold:5"],
+    ["quartic", "--m", "19"],                              # full sweep refused; --t is allowed
 ])
 def test_bad_input_is_usage_error(args, capsys):
     assert main(args) == 2
@@ -151,3 +153,25 @@ def test_library_fault_is_not_usage_error(monkeypatch):
     monkeypatch.setattr(bluher, "bluher_formula", fault)
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify-bluher", "--m-max", "3"])
+
+
+def test_kakeya_library_fault_is_not_usage_error(monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(kakeya, "build_kakeya", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["kakeya", "--m", "2", "--n", "2", "--f", "gold:1"])
+
+
+def test_kakeya_check_skipped_above_packed_bits(capsys):
+    assert main(["kakeya", "--m", "13", "--n", "5", "--f", "quartic", "--check",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr()
+    assert "line check skipped" in out.err
+    assert json.loads(out.out)["kakeya_verified"] is None
+
+
+def test_quartic_sweep_refusal_names_t(capsys):
+    assert main(["quartic", "--m", "20"]) == 2
+    assert "--t" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Construction, direction coverage, the exhaustive line verifier, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from kakeyagf.kakeya import (KakeyaSet, bound_dominance_rows, bound_eval, bound_
                              is_gf2_affine, kakeya_size_from_images, pack_point,
                              unpack_point, verify_kakeya)
 
-from helpers_naive import naive_has_line, naive_kakeya_points
+from helpers_naive import naive_has_line, naive_image, naive_irreducibles, naive_kakeya_points
 
 
 def test_size_from_images_frozen():
@@ -211,3 +212,68 @@ def test_construction_case_rows():
 def test_materialization_bit_guard():
     with pytest.raises(ValueError):
         build_kakeya(make_field(13), 5, Quartic(), materialize_cap=1 << 70)
+
+
+def _parity_map(m):
+    return Quartic() if m % 2 else Gold(m // 2)
+
+
+def _moduli(m):
+    # GF(4) has a single irreducible modulus; larger fields get a second one
+    return naive_irreducibles(m)[:2]
+
+
+def _naive_missing(field, n, points):
+    tuples = {unpack_point(int(p), field.m, n) for p in points}
+    return sorted(d for d in canonical_directions(field.q, n)
+                  if not naive_has_line(field, tuples, d))
+
+
+@pytest.mark.parametrize("m,n,modulus",
+                         [(m, n, p) for m, n in [(2, 2), (2, 3), (3, 2), (4, 2)]
+                          for p in _moduli(m)])
+def test_verify_matches_naive_every_direction(m, n, modulus):
+    field = make_field(m, modulus)
+    ks = build_kakeya(field, n, _parity_map(m))
+    rng = np.random.default_rng([m, n, modulus])
+    drop_one = np.delete(ks.points, rng.integers(ks.points.size))
+    c = int(rng.integers(field.q))
+    drop_plane = ks.points[((ks.points >> ((n - 1) * m)) & (field.q - 1)) != c]
+    for points in (ks.points, drop_one, drop_plane):
+        res = verify_kakeya(dataclasses.replace(ks, points=points))
+        missing = _naive_missing(field, n, points)
+        assert res.missing == missing and res.ok == (not missing)
+    # res is drop_plane's: every line with a nonzero last coordinate meets the plane
+    assert len(res.missing) >= field.q ** (n - 1)
+
+
+def test_verify_ignores_order_and_duplicates():
+    field = make_field(3)
+    ks = build_kakeya(field, 2, Quartic())
+    broken = ks.points[ks.points != ks.points[5]]
+    for points in (ks.points, broken):
+        expected = verify_kakeya(dataclasses.replace(ks, points=points))
+        for variant in (points[::-1], np.concatenate([points, points[::3]]),
+                        np.repeat(points, 2)[::-1]):
+            res = verify_kakeya(dataclasses.replace(ks, points=variant))
+            assert (res.ok, res.missing) == (expected.ok, expected.missing)
+    assert expected.missing  # the broken set's, so the variants were compared on a failure too
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_build_matches_naive_second_modulus(m, n):
+    field = make_field(m, naive_irreducibles(m)[1])
+    fn = _parity_map(m)
+    ks = build_kakeya(field, n, fn)
+    images = {t: sorted(naive_image(field, fn, t, evaluate)) for t in field.elements()}
+    ref = naive_kakeya_points(field, n, images)
+    assert ks.points.tolist() == sorted(pack_point(p, m) for p in ref)
+    assert ks.size == sum(len(v) ** j for v in images.values() for j in range(n))
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (4, 4)])
+def test_larger_constructions_verify(m, n):
+    # q = 32, n = 3 and q = 16, n = 4: out of the verification sweep's ranges
+    row = construction_case(m, n)
+    assert row["ok"] and row["kakeya_verified"]
+    assert row["distinct_points"] <= row["size"]
