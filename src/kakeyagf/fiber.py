@@ -111,7 +111,7 @@ def image_values(field: Field, fn: FunctionSpec, t: int) -> list[int]:
     """Sorted values of x -> f(x) + t*x."""
     seen = np.zeros(field.q, dtype=bool)
     seen[_g_values(field, fn, t)] = True
-    return [int(v) for v in np.flatnonzero(seen)]
+    return np.flatnonzero(seen).tolist()
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:

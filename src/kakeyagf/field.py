@@ -14,7 +14,9 @@ modulus.
 
 Scalar operations are carry-less multiply/reduce on ints. Bulk operations
 (`mul_arrays`, `pow_all`) work on numpy arrays through discrete
-log/antilog tables built lazily from a multiplicative generator, and
+log/antilog tables built lazily from a multiplicative generator g (the
+antilog table by doubling, in O(log q) rounds of m numpy passes that rest
+on scalar `mul`; the log table by one scatter over it), and
 `trace_table` is the parity of each element masked by the traces of the
 basis elements. `slope_sweep` is the one kernel behind every full-slope
 sweep in the other modules: it yields p(x) + t*x over all x for each slope
@@ -181,23 +183,34 @@ class Field:
         raise ArithmeticError("no generator found; modulus cannot be irreducible")
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, exp2, log), built once.
+
+        exp is filled by doubling, exp[n:2n] = g^n * exp[:n], the last round
+        cut at q - 1. Multiplying by a fixed c is GF(2)-linear, so c*a is the
+        XOR, over the set bits b of a, of the column c*x^b from scalar `mul`:
+        each round is m vector passes.
+        """
         if self._exp is None:
-            q = self.q
-            if q == 2:
-                exp = [1]
-            else:
-                g = self._find_generator()
-                exp = [1] * (q - 1)
-                for k in range(1, q - 1):
-                    exp[k] = self.mul(exp[k - 1], g)
-            if len(set(exp)) != q - 1:
+            q, units = self.q, self.q - 1
+            g = 1 if q == 2 else self._find_generator()
+            exp = np.zeros(units, dtype=np.int64)
+            exp[0] = 1
+            n, c = 1, g  # exp[:n] is filled and c = g^n
+            while n < units:
+                src = exp[:min(n, units - n)]
+                dst = exp[n:n + len(src)]
+                for b in range(self.m):
+                    dst ^= ((src >> b) & 1) * self.mul(c, 1 << b)
+                n += len(src)
+                c = self.mul(c, c)
+            # q - 1 entries that hit every unit once leave no room for a 0
+            if np.any(np.bincount(exp, minlength=q)[1:] != 1):
                 raise ArithmeticError("generator walk did not cover the unit group")
-            log = [0] * q
-            for k, v in enumerate(exp):
-                log[v] = k
-            self._exp = np.array(exp, dtype=np.int64)
-            self._exp2 = np.concatenate([self._exp, self._exp])
-            self._log = np.array(log, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(units)
+            self._exp = exp
+            self._exp2 = np.concatenate([exp, exp])
+            self._log = log
         return self._exp, self._exp2, self._log
 
     def mul_arrays(self, a, b) -> np.ndarray:

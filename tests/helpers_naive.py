@@ -6,7 +6,7 @@ Nothing imports the library's vectorized paths.
 """
 
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 
 def pmul(a: int, b: int) -> int:
@@ -43,13 +43,15 @@ def naive_is_irreducible(p: int) -> bool:
     return True
 
 
-def naive_irreducibles(m: int) -> list[int]:
-    """Every irreducible polynomial of degree m, in encoding order.
+def naive_irreducibles(m: int, limit: int | None = None) -> list[int]:
+    """The irreducible polynomials of degree m in encoding order, the first
+    `limit` of them if it is given (the scan stops there).
 
     The first is the library's default modulus; the second, where there is
     one, serves as a non-default modulus.
     """
-    return [p for p in range((1 << m) | 1, 1 << (m + 1), 2) if naive_is_irreducible(p)]
+    found = (p for p in range((1 << m) | 1, 1 << (m + 1), 2) if naive_is_irreducible(p))
+    return list(islice(found, limit))
 
 
 def naive_smallest_irreducible(m: int) -> int:

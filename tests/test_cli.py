@@ -140,6 +140,7 @@ def test_all_reduced_and_repeatable():
     ["verify-bluher", "--m-max", "21"],
     ["kakeya", "--m", "3", "--n", "2", "--f", "gold:5"],
     ["quartic", "--m", "19"],                              # full sweep refused; --t is allowed
+    ["sharpness", "--m", "19"],                            # O(q^2) sweep refused
 ])
 def test_bad_input_is_usage_error(args, capsys):
     assert main(args) == 2

@@ -133,6 +133,42 @@ def test_pow_all_matches_scalar(m):
                               np.array([f.pow(x, e) for x in f.elements()]))
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_tables_match_scalar_walk(m):
+    # the walk exp[k] = exp[k-1]*g on scalar mul is the oracle for the doubling
+    for modulus in naive_irreducibles(m, limit=2):
+        f = Field(m, modulus)
+        exp, exp2, log = f._tables()
+        g = f._find_generator() if f.q > 2 else 1
+        walk = [1]
+        for _ in range(f.q - 2):
+            walk.append(f.mul(walk[-1], g))
+        assert exp.tolist() == walk
+        assert np.array_equal(exp2, np.concatenate([exp, exp]))
+        assert np.array_equal(log[exp], np.arange(f.q - 1))
+
+
+def test_tables_large_field_spot():
+    f = make_field(20)
+    exp, _, log = f._tables()
+    g = f._find_generator()
+    for k in np.random.default_rng(20).integers(0, f.q - 1, size=256).tolist():
+        assert exp[k] == f.pow(g, k)
+        assert log[exp[k]] == k
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_tables_reject_short_generator_walk(m, monkeypatch):
+    f = Field(m)
+    fakes = [1]
+    if m % 2 == 0:  # 3 divides q - 1: add a cube root of unity
+        fakes.append(f.pow(f._find_generator(), (f.q - 1) // 3))
+    for fake in fakes:
+        monkeypatch.setattr(Field, "_find_generator", lambda self, g=fake: g)
+        with pytest.raises(ArithmeticError, match="did not cover the unit group"):
+            f._tables()
+
+
 def test_trace_abs_frozen():
     f4 = make_field(2)
     assert [f4.trace_abs(a) for a in f4.elements()] == [0, 0, 1, 1]
