@@ -4,8 +4,10 @@ With q = 2^m, 0 <= i < m and d = gcd(i, m) (d = m when i = 0), the number
 of b in F_q* for which the trinomial has no root in F_q is
 2^d (q-1) / (2 (2^d+1)) when m/d is even and 2^d (q+1) / (2 (2^d+1)) when
 m/d is odd. `bluher_formula` evaluates that in exact integer arithmetic;
-`bluher_bruteforce` realizes the definition by scanning every (b, x) pair
-with the field's slope kernel.
+`bluher_bruteforce` counts from the definition solved for b: x = 0 is a
+root only for b = 0, x = 1 never is, and any other x is a root exactly for
+b = x^(2^i+1)/(x + 1), so the b != 0 with a root are the image of that map
+and one O(q) pass over x finds them all.
 The two routes are independent and must agree on every (m, i).
 """
 
@@ -41,18 +43,22 @@ def bluher_formula(m: int, i: int) -> int:
 
 
 def bluher_bruteforce(field: Field, i: int) -> int:
-    """#{b != 0 : x^(2^i+1) + b*x + b has no root}, scanning all (b, x).
+    """#{b != 0 : x^(2^i+1) + b*x + b has no root}, from the definition.
 
-    b*x + b = b*y with y = x + 1, so the scan sweeps every slope b over
-    p(y) = (y + 1)^(2^i+1) with the field's slope kernel and tests each
-    row for a zero; the full scan is O(q^2) evaluations. The point y = 0
-    gives p(0) = 1, never a root.
+    x = 0 gives b = 0 and x = 1 gives 1 + b + b = 1, so neither is a root for
+    b != 0. For every other x, x^(2^i+1) = b*(x + 1) has the one solution
+    b = x^(2^i+1)/(x + 1); marking those b in a q-slot bitmap leaves the b
+    without a root unmarked.
     """
     if not 0 <= i < field.m:
         raise ValueError(f"need 0 <= i < m, got i={i}, m={field.m}")
-    y = np.arange(field.q, dtype=np.int64)
-    p = field.pow_all((1 << i) + 1)[y ^ 1]
-    return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
+    q = field.q
+    x = np.arange(2, q, dtype=np.int64)
+    b = field.mul_arrays(field.pow_all((1 << i) + 1)[x], field.pow_all(q - 2)[x ^ 1])
+    has_root = np.zeros(q, dtype=bool)
+    has_root[b] = True
+    return q - 1 - int(np.count_nonzero(has_root))
+
 
 def agreement_case(m: int, i: int) -> BluherCount:
     formula = bluher_formula(m, i)

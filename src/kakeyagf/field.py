@@ -164,13 +164,6 @@ class Field:
             raise ValueError("relative trace needs an even extension degree")
         return self.pow(a, 1 << (self.m // 2)) ^ a
 
-    def quad_root_count(self, z: int, c: int) -> int:
-        """Roots of x^2 + z*x = c: always 1 for z = 0, else 2 or 0 by trace."""
-        if z == 0:
-            return 1  # squaring is a bijection in characteristic 2
-        iz = self.inv(z)
-        return 2 if self.trace_abs(self.mul(c, self.mul(iz, iz))) == 0 else 0
-
     # ------------------------------------------------------------------
     # bulk operations on numpy arrays of encodings
 

@@ -7,15 +7,23 @@ more, and the t = 0 histogram is fully determined by m's parity.
 
 For odd m and t != 0, those facts turn the image size into
 |I(t)| = (6q + 1 - v + 4*Tr(t)) / 8, where v counts the pairs (x, z) with
-x^2 + z*x = z^3 + z^2 + t. v is computable in O(q): the z = 0 column
-always contributes one pair, and each z != 0 contributes 2 or 0 by the
-trace criterion for the quadratic in x, Tr((z^3 + z^2 + t)/z^2) = 0.
-With w = z^-2, a bijection of the units, that argument is
-w^(q/2-1) + 1 + t*w, so the counts for any set of slopes are one sweep of
-the field's slope kernel plus a trace lookup. |v - q| <= 2*sqrt(q) holds for
-this cubic curve (checked, not assumed, by every sweep here), which caps
-|I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8); `sharpness_search` reports the
-slopes that reach the cap.
+x^2 + z*x = z^3 + z^2 + t. The z = 0 column always contributes one pair,
+and each z != 0 contributes 2 or 0 by the trace criterion for the
+quadratic in x, Tr((z^3 + z^2 + t)/z^2) = 0. With w = z^-2, a bijection of
+the units, that argument is p(w) + t*w with p(w) = w^(q/2-1) + 1, so v(t)
+counts the w with Tr(p(w) + t*w) = 0. There are two routes to it:
+
+- one slope at a time, a sweep of the field's slope kernel plus a trace
+  lookup, O(q) per slope (`curve_point_count`);
+- every slope at once, one integer Walsh-Hadamard transform of
+  (-1)^Tr(p(w)), O(q log q) for the whole field (`sharpness_search` and
+  the formula path of `image_exact_case`). Tr(t*w) is the parity of
+  w & L(t), where bit k of L(t) is Tr(t*2^k), so the character sum
+  sum_w (-1)^Tr(p(w) + t*w) is the transform read at L(t).
+
+|v - q| <= 2*sqrt(q) holds for this cubic curve (checked, not assumed, by
+every sweep here), which caps |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8);
+`sharpness_search` reports the slopes that reach the cap.
 """
 
 from __future__ import annotations
@@ -102,6 +110,33 @@ def _curve_counts(field: Field, ts) -> np.ndarray:
                      for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)
 
 
+def _curve_counts_all(field: Field) -> np.ndarray:
+    """v(t) for every slope t in encoding order, by one Walsh-Hadamard transform.
+
+    S is the integer transform of (-1)^Tr(p(w)): m in-place butterfly
+    passes. The count of w with Tr(p(w) + t*w) = 0 is (q + S[L(t)]) / 2,
+    where L(t) has bit k = Tr(t*2^k); L is GF(2)-linear, so it is extended
+    from the basis values Tr(2^j*2^k) by doubling. As in `_curve_counts`,
+    w = 0 stands for no z and is taken back out.
+    """
+    m, q = field.m, field.q
+    tr = field.trace_table()
+    p = field.pow_all(q // 2 - 1) ^ 1   # w^(q/2-1) + 1
+    s = 1 - 2 * tr[p]                   # (-1)^Tr(p(w))
+    for k in range(m):
+        pairs = s.reshape(-1, 2, 1 << k)  # axis 1 is bit k of the index
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo                          # (lo + hi) - 2*hi = lo - hi
+    lin = np.zeros(q, dtype=np.int64)
+    for j in range(m):
+        basis = sum(field.trace_abs(field.mul(1 << j, 1 << k)) << k for k in range(m))
+        lin[1 << j:2 << j] = lin[:1 << j] ^ basis
+    zeros = exact_div(q + s[lin], 2)
+    return 1 + 2 * (zeros - int(tr[p[0]] == 0))
+
+
 def _size_from_count(q: int, v, delta):
     """(6q + 1 - v + 4*Tr(t)) / 8 for ints or arrays; the division must be exact."""
     return exact_div(6 * q + 1 - v + 4 * delta, 8)
@@ -148,12 +183,12 @@ def image_record(field: Field, t: int) -> QuarticImageRecord:
 
 
 def sharpness_search(field: Field) -> SharpnessResult:
-    """Sweep every t != 0 with the O(q) exact size and collect the argmax ts."""
+    """Exact size of every t != 0 from the all-slope counts; collect the argmax ts."""
     if field.m % 2 == 0:
         raise ValueError("the sharpness sweep applies to odd m")
     q = field.q
     bound = quartic_floor_bound(field.m)
-    sizes = _size_from_count(q, _curve_counts(field, range(1, q)), field.trace_table()[1:])
+    sizes = _size_from_count(q, _curve_counts_all(field)[1:], field.trace_table()[1:])
     best = int(sizes.max())
     witnesses = [int(t) for t in np.flatnonzero(sizes == best) + 1]
     return SharpnessResult(max_size=best, witnesses=witnesses, bound=bound,
@@ -197,7 +232,7 @@ def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> di
     formula path still sweeps every t.
     """
     q = field.q
-    v = _curve_counts(field, range(1, q))
+    v = _curve_counts_all(field)[1:]
     hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
     sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
     if spot is None:

@@ -2,11 +2,16 @@
 
 Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops.
-Nothing imports the library's vectorized paths.
+Nothing imports the library's vectorized paths, except `kernel_bluher`:
+the O(q^2) scan of every (b, x) on the field's slope kernel, kept as the
+cross-check of the library's O(q) count at sizes the scalar loop cannot
+reach.
 """
 
 from collections import Counter
 from itertools import islice, product
+
+import numpy as np
 
 
 def pmul(a: int, b: int) -> int:
@@ -58,6 +63,11 @@ def naive_smallest_irreducible(m: int) -> int:
     return naive_irreducibles(m)[0]
 
 
+def naive_largest_irreducible(m: int) -> int:
+    """The irreducible polynomial of degree m with the largest encoding."""
+    return next(p for p in range((2 << m) - 1, 1 << m, -2) if naive_is_irreducible(p))
+
+
 def naive_image(field, fn, t, evaluate) -> set[int]:
     return {evaluate(field, fn, x) ^ field.mul(t, x) for x in field.elements()}
 
@@ -90,6 +100,17 @@ def naive_bluher(field, i: int) -> int:
         if not any(field.pow(x, e) ^ field.mul(b, x) ^ b == 0 for x in field.elements()):
             count += 1
     return count
+
+
+def kernel_bluher(field, i: int) -> int:
+    """Bluher's N0 by scanning every (b, x) with the field's slope kernel.
+
+    b*x + b = b*y with y = x + 1, so each slope b is swept over
+    p(y) = (y + 1)^(2^i+1), and a row with no zero is a b without a root.
+    The point y = 0 gives p(0) = 1, never a root.
+    """
+    p = field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1]
+    return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
 
 
 def naive_kakeya_points(field, n: int, image_values_by_t: dict[int, list[int]]) -> set[tuple[int, ...]]:

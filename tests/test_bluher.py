@@ -7,7 +7,7 @@ import pytest
 from kakeyagf.bluher import agreement_sweep, bluher_bruteforce, bluher_formula
 from kakeyagf.field import make_field
 
-from helpers_naive import naive_bluher, naive_irreducibles
+from helpers_naive import kernel_bluher, naive_bluher, naive_irreducibles
 
 
 def test_formula_frozen():
@@ -41,6 +41,16 @@ def test_bruteforce_matches_scalar_oracle(m):
             assert bluher_bruteforce(field, i) == naive_bluher(field, i)
 
 
+@pytest.mark.parametrize("m", range(2, 12))
+def test_bruteforce_matches_kernel_scan(m):
+    # the O(q^2) scan over every (b, x), under a second modulus up to m = 9
+    moduli = [None] + (naive_irreducibles(m, 2)[1:] if m <= 9 else [])
+    for modulus in moduli:
+        field = make_field(m, modulus)
+        for i in range(m):
+            assert bluher_bruteforce(field, i) == kernel_bluher(field, i)
+
+
 def test_symmetry_in_i():
     for m in range(2, 17):
         for i in range(1, m):
@@ -60,4 +70,10 @@ def test_formula_always_integral():
 def test_agreement_sweep_small():
     rows = agreement_sweep(m_max=6)
     assert len(rows) == sum(range(2, 7))  # all (m, i) with 0 <= i < m
+    assert all(r.agree for r in rows)
+
+
+def test_agreement_sweep_m16():
+    rows = agreement_sweep(m_max=16)
+    assert len(rows) == sum(range(2, 17))
     assert all(r.agree for r in rows)

@@ -52,6 +52,13 @@ def test_sharpness_m15_attains_bound():
     assert json.loads(r.stdout)["sharp"] is True
 
 
+def test_sharpness_m19_attains_bound():
+    # odd m up to 19 runs: the all-slope counts cost O(q log q)
+    r = run_cli("sharpness", "--m", "19", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["sharp"] is True
+
+
 def test_sharpness_json_schema():
     r = run_cli("sharpness", "--m", "3", "--format", "json")
     assert r.returncode == 0
@@ -140,7 +147,7 @@ def test_all_reduced_and_repeatable():
     ["verify-bluher", "--m-max", "21"],
     ["kakeya", "--m", "3", "--n", "2", "--f", "gold:5"],
     ["quartic", "--m", "19"],                              # full sweep refused; --t is allowed
-    ["sharpness", "--m", "19"],                            # O(q^2) sweep refused
+    ["sharpness", "--m", "21"],                            # beyond MAX_DEGREE
 ])
 def test_bad_input_is_usage_error(args, capsys):
     assert main(args) == 2

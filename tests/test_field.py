@@ -224,23 +224,6 @@ def test_trace_rel_image_is_subfield(m):
             assert f.trace_rel(f.mul(u, a)) == f.mul(u, f.trace_rel(a))
 
 
-def test_quad_root_count_frozen():
-    f8, f4 = make_field(3), make_field(2)
-    assert f4.quad_root_count(0, 3) == 1
-    assert f8.quad_root_count(1, 0) == 2  # roots {0, 1}
-    assert f4.quad_root_count(1, 2) == 0  # Tr(w) = 1
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_quad_root_count_exhaustive(m):
-    # every (z, c): the root count is the histogram of x^2 + z*x at c
-    f = make_field(m)
-    for z in f.elements():
-        roots = Counter(naive_mul(f.modulus, x, x ^ z) for x in f.elements())
-        for c in f.elements():
-            assert f.quad_root_count(z, c) == roots[c]
-
-
 @given(st.integers(1, 10), st.data())
 def test_field_axioms_property(m, data):
     f = make_field(m)

@@ -1,16 +1,19 @@
 """Fiber formulas, curve pair counts, exact image sizes, the integer cap."""
 
 import mpmath
+import numpy as np
 import pytest
 
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Quartic, fiber_distribution, image_values
-from kakeyagf.quartic import (_curve_counts, curve_point_count, fiber_formula_case,
-                              floor_bound_consistency, image_exact_case, image_record,
+from kakeyagf.quartic import (_curve_counts, _curve_counts_all, curve_point_count,
+                              fiber_formula_case, floor_bound_consistency,
+                              image_exact_case, image_record,
                               omega0_distribution, omega1_formula, omega3_formula,
                               quartic_floor_bound, quartic_image_exact, sharpness_search)
 
-from helpers_naive import naive_curve_pairs, naive_image, naive_irreducibles
+from helpers_naive import (naive_curve_pairs, naive_image, naive_irreducibles,
+                           naive_largest_irreducible)
 from kakeyagf.fiber import evaluate
 
 
@@ -61,6 +64,17 @@ def test_all_slope_curve_counts_second_modulus(m):
     field = make_field(m, naive_irreducibles(m)[1])
     expected = [naive_curve_pairs(field, t) for t in field.elements()]
     assert _curve_counts(field, field.elements()).tolist() == expected
+    assert _curve_counts_all(field).tolist() == expected
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_transform_counts_match_kernel(m):
+    # every slope, and under the largest-encoding modulus at m = 7, 9, 11
+    moduli = [None] + ([naive_largest_irreducible(m)] if m in (7, 9, 11) else [])
+    for modulus in moduli:
+        field = make_field(m, modulus)
+        assert np.array_equal(_curve_counts_all(field),
+                              _curve_counts(field, field.elements()))
 
 
 def test_curve_count_gf2():
