@@ -18,36 +18,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bluher, gold, kakeya, quartic
 from .field import MAX_DEGREE, make_field
-from .fiber import Gold, Quartic, fiber_distribution
+from .fiber import Gold, Quartic, fiber_distribution, values_all
 
 USAGE_ERROR = 2
 # `quartic` without --t checks the fiber histograms and image sizes of every
 # slope by brute force: O(q^2), about 4x per degree
 QUARTIC_SWEEP_MAX_M = 18
-
-
-@dataclass
-class RunConfig:
-    verb: str
-    format: str = "text"
-    parallelism: int = 1
-    seed: int = 0
-    modulus: int | None = None
-    m: int | None = None
-    i: int | None = None
-    n: int | None = None
-    t: int | None = None
-    f: str | None = None
-    check: bool = False
-    cap: int = kakeya.DEFAULT_MATERIALIZE_CAP
-    verify: bool = False
-    m_max: int = 12
-    m_range: tuple[int, int] | None = None
-    n_range: tuple[int, int] | None = None
 
 
 class UsageError(Exception):
@@ -83,9 +62,9 @@ def _parse_function(s: str):
     raise UsageError(f"unknown function {s!r}; use gold:I or quartic")
 
 
-def _field_for(config: RunConfig):
+def _field_for(args: argparse.Namespace):
     try:
-        return make_field(config.m, config.modulus)
+        return make_field(args.m, args.modulus)
     except ValueError as exc:  # --m is checked already, so --modulus is bad
         raise UsageError(str(exc))
 
@@ -129,51 +108,51 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
 # ----------------------------------------------------------------------
 # verbs
 
-def _run_verify_bluher(config: RunConfig) -> int:
-    if not 2 <= config.m_max <= MAX_DEGREE:
+def _run_verify_bluher(args: argparse.Namespace) -> int:
+    if not 2 <= args.m_max <= MAX_DEGREE:
         raise UsageError(f"--m-max must be in 2..{MAX_DEGREE}")
     rows = [{"m": r.m, "i": r.i, "d": r.d, "n0_formula": r.n0_formula,
              "n0_bruteforce": r.n0_bruteforce, "agree": r.agree}
-            for r in bluher.agreement_sweep(config.m_max, config.parallelism)]
+            for r in bluher.agreement_sweep(args.m_max, args.parallelism)]
     ok = all(r["agree"] for r in rows)
-    _emit({"rows": rows, "ok": ok}, rows, config.format)
+    _emit({"rows": rows, "ok": ok}, rows, args.format)
     return 0 if ok else 1
 
 
-def _run_gold(config: RunConfig) -> int:
-    if not 1 <= config.i < config.m:
-        raise UsageError(f"--i must satisfy 1 <= i < m = {config.m}")
-    field = _field_for(config)
-    prof = gold.gold_profile(config.m, config.i)
+def _run_gold(args: argparse.Namespace) -> int:
+    if not 1 <= args.i < args.m:
+        raise UsageError(f"--i must satisfy 1 <= i < m = {args.m}")
+    field = _field_for(args)
+    prof = gold.gold_profile(args.m, args.i)
     payload = {"m": prof.m, "i": prof.i, "d": prof.d, "q": field.q,
                "parity_case": prof.parity_case,
                "size_at_zero": prof.size_at_zero,
                "size_at_nonzero": prof.size_at_nonzero}
     ok = True
-    if config.verify:
-        case = gold.profile_case(config.m, config.i)
+    if args.verify:
+        case = gold.profile_case(field, args.i)
         payload["profile_matches_bruteforce"] = case["ok"]
         ok = case["ok"]
-        if field.m % 2 == 0 and config.i == field.m // 2:
+        if field.m % 2 == 0 and args.i == field.m // 2:
             st = gold.verify_half_gold_structure(field)
             payload["image_is_subfield"] = st.image_is_subfield
             payload["injective_on_trace_one"] = st.injective_on_trace_one
             payload["two_to_one_elsewhere"] = st.two_to_one_elsewhere
             payload["image_size_at_one"] = st.image_size_at_one
-            payload["scale_invariant"] = gold.scale_invariance_check(field, config.i)
+            payload["scale_invariant"] = case["scale_invariant"]
             ok = ok and st.ok and payload["scale_invariant"]
-    _emit(payload, None, config.format)
+    _emit(payload, None, args.format)
     return 0 if ok else 1
 
 
-def _run_quartic(config: RunConfig) -> int:
-    if config.t is None and config.m > QUARTIC_SWEEP_MAX_M:
-        raise UsageError(f"quartic --m {config.m} sweeps every slope, which is out of reach "
+def _run_quartic(args: argparse.Namespace) -> int:
+    if args.t is None and args.m > QUARTIC_SWEEP_MAX_M:
+        raise UsageError(f"quartic --m {args.m} sweeps every slope, which is out of reach "
                          f"above m = {QUARTIC_SWEEP_MAX_M}; query one slope with --t")
-    field = _field_for(config)
+    field = _field_for(args)
     m = field.m
-    if config.t is not None:
-        t = config.t
+    if args.t is not None:
+        t = args.t
         if not 0 <= t < field.q:
             raise UsageError(f"t={t:x} outside the field")
         dist = fiber_distribution(field, Quartic(), t)
@@ -183,87 +162,83 @@ def _run_quartic(config: RunConfig) -> int:
         ok = True
         if m % 2 == 1 and t != 0:
             rec = quartic.image_record(field, t)
-            cpc = quartic.curve_point_count(field, t)
-            payload.update({"v": cpc.v, "delta": cpc.delta,
+            payload.update({"v": rec.count.v, "delta": rec.count.delta,
                             "image_size_exact": rec.exact_size,
                             "floor_bound": rec.floor_bound, "sharp": rec.sharp})
             ok = rec.exact_size == dist.image_size()
             payload["formula_matches_bruteforce"] = ok
-        _emit(payload, None, config.format)
+        _emit(payload, None, args.format)
         return 0 if ok else 1
     payload = {"m": m, "q": field.q}
     fib = quartic.fiber_formula_case(field)
     payload["fiber_formulas_ok"] = fib["ok"]
     ok = fib["ok"]
     if m % 2 == 1:
-        case = quartic.image_exact_case(field, spot=None, seed=config.seed)
+        case = quartic.image_exact_case(field, spot=None, seed=args.seed)
         payload["image_exact_ok"] = case["match_ok"]
         payload["hasse_ok"] = case["hasse_ok"]
         payload["floor_bound"] = quartic.quartic_floor_bound(m)
         ok = ok and case["ok"]
-    _emit(payload, None, config.format)
+    _emit(payload, None, args.format)
     return 0 if ok else 1
 
 
-def _run_sharpness(config: RunConfig) -> int:
-    if config.m % 2 == 0:
+def _run_sharpness(args: argparse.Namespace) -> int:
+    if args.m % 2 == 0:
         raise UsageError("m must be odd")
-    field = _field_for(config)
+    field = _field_for(args)
     r = quartic.sharpness_search(field)
     payload = {"m": field.m, "q": field.q, "bound": r.bound,
                "max_size": r.max_size, "sharp": r.sharp,
                "witnesses": [f"{t:x}" for t in r.witnesses]}
-    _emit(payload, None, config.format)
+    _emit(payload, None, args.format)
     return 0 if r.sharp else 1
 
 
-def _run_kakeya(config: RunConfig) -> int:
-    field = _field_for(config)
-    fn = _parse_function(config.f)
+def _run_kakeya(args: argparse.Namespace) -> int:
+    field = _field_for(args)
+    fn = _parse_function(args.f)
     if isinstance(fn, Gold) and not 0 <= fn.i < field.m:
         raise UsageError(f"gold index {fn.i} outside 0..{field.m - 1}")
-    if kakeya.is_gf2_affine(field, fn):
-        raise UsageError(f"{config.f} is GF(2)-affine; the construction needs a non-linear map")
+    if kakeya.is_gf2_affine(field, values_all(field, fn)):
+        raise UsageError(f"{args.f} is GF(2)-affine; the construction needs a non-linear map")
     # only the check uses the points, and they pack into ints only up to PACKED_BITS
-    packable = config.n * field.m <= kakeya.PACKED_BITS
-    ks = kakeya.build_kakeya(field, config.n, fn,
-                             materialize_cap=config.cap if config.check and packable else 0)
-    rep = kakeya.bound_report(field, config.n, fn, ks.size)
+    packable = args.n * field.m <= kakeya.PACKED_BITS
+    ks = kakeya.build_kakeya(field, args.n, fn,
+                             materialize_cap=args.cap if args.check and packable else 0)
+    rep = kakeya.bound_report(field, args.n, fn, ks.size)
     verified = None
-    if config.check:
+    if args.check:
         if ks.points is None:
             why = "materialization cap exceeded" if packable else (
                 f"packed points need n*m <= {kakeya.PACKED_BITS} bits")
             print(f"{why}; line check skipped", file=sys.stderr)
         else:
             verified = kakeya.verify_kakeya(ks).ok
-    payload = {"q": field.q, "n": config.n, "f": rep.f, "size": ks.size,
+    payload = {"q": field.q, "n": args.n, "f": rep.f, "size": ks.size,
                "bound_new": rep.new_bound, "bound_klss": rep.klss_bound,
                "kakeya_verified": verified}
-    _emit(payload, None, config.format)
+    _emit(payload, None, args.format)
     return 0 if rep.ok and verified is not False else 1
 
 
-def _run_bounds(config: RunConfig) -> int:
+def _run_bounds(args: argparse.Namespace) -> int:
     rows = []
-    for m in range(config.m_range[0], config.m_range[1] + 1):
+    for m in range(args.m_range[0], args.m_range[1] + 1):
         q = 1 << m
-        new_kind = "new_even" if m % 2 == 0 else "new_odd"
-        klss_kind = "klss_even_power" if m % 2 == 0 else "klss_odd_power"
-        for n in range(config.n_range[0], config.n_range[1] + 1):
-            new = kakeya.bound_eval(new_kind, q, n)
-            old = kakeya.bound_eval(klss_kind, q, n)
+        for n in range(args.n_range[0], args.n_range[1] + 1):
+            new, old = kakeya.bound_eval(q, n)
             rows.append({"q": q, "n": n, "bound_new": new, "bound_klss": old,
                          "new_below_klss": new < old})
-    _emit({"rows": rows}, rows, config.format)
+    _emit({"rows": rows}, rows, args.format)
     return 0
 
 
-def _run_all(config: RunConfig) -> int:
-    m_max = config.m_max
+def _run_all(args: argparse.Namespace) -> int:
+    m_max = args.m_max
     if not 2 <= m_max <= 13:
         raise UsageError("--m-max must be in 2..13")
-    workers = config.parallelism
+    workers = args.parallelism
     checks = []
 
     def add(name, rows, ok_key="ok"):
@@ -279,7 +254,7 @@ def _run_all(config: RunConfig) -> int:
     odds = [m for m in (3, 5, 7, 9, 11) if m <= m_max]
     add("quartic-image-exact",
         quartic.image_exact_sweep(odds, spot_m=13 if m_max >= 13 else None,
-                                  seed=config.seed, workers=workers))
+                                  seed=args.seed, workers=workers))
     add("quartic-floor-sharpness",
         quartic.sharpness_sweep([m for m in (1, 3, 5, 7, 9, 11, 13) if m <= m_max],
                                 workers))
@@ -290,25 +265,14 @@ def _run_all(config: RunConfig) -> int:
     add("floor-bound-integer-path", quartic.floor_bound_consistency(31))
 
     ok = all(c["ok"] for c in checks)
-    payload = {"m_max": m_max, "seed": config.seed, "checks": checks, "ok": ok}
-    if config.format == "text":
+    payload = {"m_max": m_max, "seed": args.seed, "checks": checks, "ok": ok}
+    if args.format == "text":
         for c in checks:
             print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']} ({c['cases']} cases)")
         print("all checks passed" if ok else "FAILURES present")
     else:
-        _emit(payload, checks, config.format)
+        _emit(payload, checks, args.format)
     return 0 if ok else 1
-
-
-_HANDLERS = {
-    "verify-bluher": _run_verify_bluher,
-    "gold": _run_gold,
-    "quartic": _run_quartic,
-    "sharpness": _run_sharpness,
-    "kakeya": _run_kakeya,
-    "bounds": _run_bounds,
-    "all": _run_all,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,25 +292,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bluher", parents=[common],
                        help="no-root counts: closed form vs brute force")
+    p.set_defaults(handler=_run_verify_bluher)
     p.add_argument("--m-max", type=int, default=12)
 
     p = sub.add_parser("gold", parents=[common, modulus],
                        help="image-set profile of x^(2^i+1)")
+    p.set_defaults(handler=_run_gold)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("quartic", parents=[common, modulus],
                        help="fiber and image statistics of x^4+x^3+tx")
+    p.set_defaults(handler=_run_quartic)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=str, default=None, help="slope, hex")
 
     p = sub.add_parser("sharpness", parents=[common, modulus],
                        help="slopes attaining the image-size cap (odd m)")
+    p.set_defaults(handler=_run_sharpness)
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("kakeya", parents=[common, modulus],
                        help="build a Kakeya set and compare bounds")
+    p.set_defaults(handler=_run_kakeya)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", type=str, required=True, help="gold:I or quartic")
@@ -355,51 +324,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=kakeya.DEFAULT_MATERIALIZE_CAP)
 
     p = sub.add_parser("bounds", parents=[common], help="bound comparison table")
+    p.set_defaults(handler=_run_bounds)
     p.add_argument("--m-range", type=str, required=True, help="like 3..7")
     p.add_argument("--n-range", type=str, required=True, help="like 1..6")
 
     p = sub.add_parser("all", parents=[common], help="full verification sweep")
+    p.set_defaults(handler=_run_all)
     p.add_argument("--m-max", type=int, default=13)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(verb=args.verb, format=args.format,
-                       parallelism=args.parallelism, seed=args.seed)
-    if config.parallelism < 1:
+def _validate(args: argparse.Namespace) -> None:
+    """Check what argparse cannot, decoding the hex and range options in place."""
+    if args.parallelism < 1:
         raise UsageError("--parallelism must be >= 1")
     if getattr(args, "modulus", None) is not None:
-        config.modulus = _parse_hex(args.modulus)
-    for name in ("m", "i", "n", "cap", "check", "verify", "f"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "m_max", None) is not None:
-        config.m_max = args.m_max
+        args.modulus = _parse_hex(args.modulus)
     if getattr(args, "t", None) is not None:
-        config.t = _parse_hex(args.t)
+        args.t = _parse_hex(args.t)
     if hasattr(args, "m_range"):
-        config.m_range = _parse_range(args.m_range)
-        config.n_range = _parse_range(args.n_range)
-        if config.m_range[0] < 1 or config.n_range[0] < 1:
+        args.m_range = _parse_range(args.m_range)
+        args.n_range = _parse_range(args.n_range)
+        if args.m_range[0] < 1 or args.n_range[0] < 1:
             raise UsageError("--m-range and --n-range must start at 1 or above")
-    if config.m is not None and not 1 <= config.m <= MAX_DEGREE:
+    if not 1 <= getattr(args, "m", 1) <= MAX_DEGREE:
         raise UsageError(f"--m must be in 1..{MAX_DEGREE}")
-    if config.n is not None and config.n < 1:
+    if getattr(args, "n", 1) < 1:
         raise UsageError("--n must be >= 1")
-    return config
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.verb](config)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        _validate(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

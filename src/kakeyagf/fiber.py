@@ -29,53 +29,20 @@ class Quartic:
     """The fixed map x -> x^4 + x^3."""
 
 
-@dataclass(frozen=True)
-class SparseExponentSum:
-    """x -> sum of c * x^e over (exponent, coefficient) terms."""
-
-    terms: tuple[tuple[int, int], ...]
-
-
-FunctionSpec = Gold | Quartic | SparseExponentSum
+FunctionSpec = Gold | Quartic
 
 
 def function_label(fn: FunctionSpec) -> str:
-    if isinstance(fn, Gold):
-        return f"gold:{fn.i}"
-    if isinstance(fn, Quartic):
-        return "quartic"
-    return "sparse:" + ",".join(f"{e}:{c:x}" for e, c in fn.terms)
-
-
-def gold_exponent(field: Field, fn: Gold) -> int:
-    if not 0 <= fn.i < field.m:
-        raise ValueError(f"gold index {fn.i} outside 0..{field.m - 1}")
-    return (1 << fn.i) + 1
-
-
-def evaluate(field: Field, fn: FunctionSpec, x: int) -> int:
-    """f(x) by exact scalar field arithmetic."""
-    if isinstance(fn, Gold):
-        return field.pow(x, gold_exponent(field, fn))
-    if isinstance(fn, Quartic):
-        x2 = field.mul(x, x)
-        return field.mul(x2, x2) ^ field.mul(x2, x)
-    acc = 0
-    for e, c in fn.terms:
-        acc ^= field.mul(c, field.pow(x, e))
-    return acc
+    return f"gold:{fn.i}" if isinstance(fn, Gold) else "quartic"
 
 
 def values_all(field: Field, fn: FunctionSpec) -> np.ndarray:
     """f(x) for every x in encoding order."""
-    if isinstance(fn, Gold):
-        return field.pow_all(gold_exponent(field, fn))
     if isinstance(fn, Quartic):
         return field.pow_all(4) ^ field.pow_all(3)
-    acc = np.zeros(field.q, dtype=np.int64)
-    for e, c in fn.terms:
-        acc ^= field.mul_arrays(c, field.pow_all(e))
-    return acc
+    if not 0 <= fn.i < field.m:
+        raise ValueError(f"gold index {fn.i} outside 0..{field.m - 1}")
+    return field.pow_all((1 << fn.i) + 1)
 
 
 @dataclass

@@ -144,11 +144,6 @@ class Field:
             e >>= 1
         return r
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
     def trace_abs(self, a: int) -> int:
         """Absolute trace a + a^2 + ... + a^(2^(m-1)), valued in {0, 1}."""
         acc = a
@@ -157,12 +152,6 @@ class Field:
             s = self.mul(s, s)
             acc ^= s
         return acc
-
-    def trace_rel(self, a: int) -> int:
-        """a^(2^(m/2)) + a, onto the subfield GF(2^(m/2)); needs m even."""
-        if self.m % 2:
-            raise ValueError("relative trace needs an even extension degree")
-        return self.pow(a, 1 << (self.m // 2)) ^ a
 
     # ------------------------------------------------------------------
     # bulk operations on numpy arrays of encodings

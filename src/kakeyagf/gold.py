@@ -112,25 +112,23 @@ def verify_half_gold_structure(field: Field) -> HalfGoldStructure:
     )
 
 
-def scale_invariance_check(field: Field, i: int) -> bool:
-    """True iff |I(t)| is the same for every t != 0 (exhaustive sweep)."""
-    if field.m % 2 or i != field.m // 2:
-        raise ValueError("scale invariance is claimed for i = m/2 with m even")
+def profile_case(field: Field, i: int) -> dict:
+    """Brute-force image sizes of one map against its closed-form profile.
+
+    `scale_invariant` says whether |I(t)| is the same for every t != 0,
+    read off the same sweep.
+    """
+    prof = gold_profile(field.m, i)
     sizes = image_sizes_all(field, Gold(i))
-    return bool(np.all(sizes[1:] == sizes[1]))
-
-
-def profile_case(m: int, i: int) -> dict:
-    """Brute-force image sizes of one map against its closed-form profile."""
-    prof = gold_profile(m, i)
-    sizes = image_sizes_all(make_field(m), Gold(i))
     ok = int(sizes[0]) == prof.size_at_zero and bool(np.all(sizes[1:] == prof.size_at_nonzero))
-    return {"m": m, "i": i, "size_at_zero": prof.size_at_zero,
-            "size_at_nonzero": prof.size_at_nonzero, "ok": ok}
+    return {"m": field.m, "i": i, "size_at_zero": prof.size_at_zero,
+            "size_at_nonzero": prof.size_at_nonzero,
+            "scale_invariant": bool(np.all(sizes[1:] == sizes[1])), "ok": ok}
 
 
 def _profile_case(args) -> dict:
-    return profile_case(*args)
+    m, i = args
+    return profile_case(make_field(m), i)
 
 
 def image_profile_sweep(m_max: int = 12, workers: int = 1) -> list[dict]:

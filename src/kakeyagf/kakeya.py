@@ -41,8 +41,6 @@ from .fiber import (FunctionSpec, Gold, Quartic, function_label, image_sizes_all
                     image_values, values_all)
 from .parallel import parallel_map
 
-BOUND_KINDS = ("klss_odd", "klss_even_power", "klss_odd_power", "new_even", "new_odd")
-
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 PACKED_BITS = 62  # packed points are int64
 
@@ -61,13 +59,13 @@ def kakeya_size_from_images(image_sizes, n: int) -> int:
     return total
 
 
-def is_gf2_affine(field: Field, fn: FunctionSpec) -> bool:
+def is_gf2_affine(field: Field, vals: np.ndarray) -> bool:
     """Does f(x+y) = f(x) + f(y) + f(0) hold for all x, y? Exhaustive, O(q).
 
-    f - f(0) is GF(2)-linear iff it equals the XOR-extension of its values
-    on the basis elements 2^k, which is built here by doubling.
+    vals holds f(x) for every x in encoding order. f - f(0) is GF(2)-linear
+    iff it equals the XOR-extension of its values on the basis elements
+    2^k, which is built here by doubling.
     """
-    vals = values_all(field, fn)
     lin = vals ^ vals[0]
     ext = np.zeros(field.q, dtype=np.int64)
     for k in range(field.m):
@@ -101,18 +99,13 @@ class KakeyaSet:
     def distinct_point_count(self) -> int | None:
         return None if self.points is None else int(self.points.size)
 
-    def point_set(self) -> set[int]:
-        if self.points is None:
-            raise ValueError("points were not materialized")
-        return {int(p) for p in self.points}
-
 
 def build_kakeya(field: Field, n: int, fn: FunctionSpec,
                  materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> KakeyaSet:
     """Image sizes always; tuples materialized when the block total fits the cap."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if is_gf2_affine(field, fn):
+    if is_gf2_affine(field, values_all(field, fn)):
         raise ValueError(
             f"{function_label(fn)} is GF(2)-affine; the construction needs a non-linear map")
     sizes = image_sizes_all(field, fn)
@@ -177,36 +170,24 @@ def verify_kakeya(ks: KakeyaSet) -> VerificationResult:
     return VerificationResult(ok=not missing, missing=sorted(missing))
 
 
-def bound_eval(kind: str, q: int, n: int) -> float:
-    """Closed-form size bounds, floats with <= 1e-12 relative error.
+def bound_eval(q: int, n: int) -> tuple[float, float]:
+    """The (new, KLSS) size bounds for q = 2^m: one pair for even m, one for odd m.
 
-    sqrt(q) is exact for even powers of 2 and correctly rounded otherwise.
-    `klss_odd` (odd q) exists for comparison tables only.
+    Floats with <= 1e-12 relative error: sqrt(q) is exact for even m and
+    correctly rounded otherwise.
     """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
-    if kind == "klss_odd":
-        if q % 2 == 0:
-            raise ValueError("klss_odd applies to odd q")
-        return 2.0 * q / (q - 1) * ((q + 1) / 2.0) ** n
     m = q.bit_length() - 1
-    if (1 << m) != q:
-        raise ValueError(f"{kind} needs q a power of 2, got {q}")
-    if kind in ("klss_even_power", "new_even"):
-        if m % 2:
-            raise ValueError(f"{kind} needs q an even power of 2")
-        if kind == "new_even":
-            s = 1 << (m // 2)
-            return 2.0 * q / (q + s - 2) * ((q + s) / 2.0) ** n
-        return 1.5 * q / (q - 1) * ((2 * q + 1) / 3.0) ** n
+    if q < 2 or (1 << m) != q:
+        raise ValueError(f"the bounds need q a power of 2 >= 2, got {q}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     if m % 2 == 0:
-        raise ValueError(f"{kind} needs q an odd power of 2")
+        s = 1 << (m // 2)
+        return (2.0 * q / (q + s - 2) * ((q + s) / 2.0) ** n,
+                1.5 * q / (q - 1) * ((2 * q + 1) / 3.0) ** n)
     r = math.sqrt(q)
-    if kind == "new_odd":
-        return 8.0 * q / (5 * q + 2 * r - 3) * ((5 * q + 2 * r + 5) / 8.0) ** n
-    return 1.5 * (2 * (q + r + 1) / 3.0) ** n
+    return (8.0 * q / (5 * q + 2 * r - 3) * ((5 * q + 2 * r + 5) / 8.0) ** n,
+            1.5 * (2 * (q + r + 1) / 3.0) ** n)
 
 
 @dataclass
@@ -215,9 +196,7 @@ class BoundReport:
     n: int
     f: str
     measured_size: int
-    new_kind: str
     new_bound: float
-    klss_kind: str
     klss_bound: float
     new_ok: bool
     klss_ok: bool
@@ -234,17 +213,12 @@ def bound_report(field: Field, n: int, fn: FunctionSpec, size: int) -> BoundRepo
     passing: integer sizes never sit that close to these bounds, so such
     a margin means a float went wrong somewhere.
     """
-    even = field.m % 2 == 0
-    new_kind = "new_even" if even else "new_odd"
-    klss_kind = "klss_even_power" if even else "klss_odd_power"
-    new_bound = bound_eval(new_kind, field.q, n)
-    klss_bound = bound_eval(klss_kind, field.q, n)
+    new_bound, klss_bound = bound_eval(field.q, n)
     for b in (new_bound, klss_bound):
         if 0.0 < b - size <= 1e-6:
             raise ArithmeticError(f"bound {b} suspiciously close to size {size}")
     return BoundReport(q=field.q, n=n, f=function_label(fn), measured_size=size,
-                       new_kind=new_kind, new_bound=new_bound,
-                       klss_kind=klss_kind, klss_bound=klss_bound,
+                       new_bound=new_bound, klss_bound=klss_bound,
                        new_ok=size < new_bound, klss_ok=size < klss_bound)
 
 
@@ -277,16 +251,10 @@ def construction_sweep(ms=(2, 3, 4), ns=(2, 3), workers: int = 1) -> list[dict]:
 def bound_dominance_rows() -> list[dict]:
     """New bounds vs the prior ones on the ranges where dominance is claimed."""
     rows = []
-    for q in (16, 64):
-        for n in range(2, 7):
-            new = bound_eval("new_even", q, n)
-            old = bound_eval("klss_even_power", q, n)
-            rows.append({"q": q, "n": n, "case": "even", "new_bound": new,
-                         "klss_bound": old, "ok": (old - new) / old > 1e-6})
-    for q in (8, 32, 128):
-        for n in range(1, 7):
-            new = bound_eval("new_odd", q, n)
-            old = bound_eval("klss_odd_power", q, n)
-            rows.append({"q": q, "n": n, "case": "odd", "new_bound": new,
-                         "klss_bound": old, "ok": (old - new) / old > 1e-6})
+    for case, qs, ns in (("even", (16, 64), range(2, 7)), ("odd", (8, 32, 128), range(1, 7))):
+        for q in qs:
+            for n in ns:
+                new, old = bound_eval(q, n)
+                rows.append({"q": q, "n": n, "case": case, "new_bound": new,
+                             "klss_bound": old, "ok": (old - new) / old > 1e-6})
     return rows

@@ -83,7 +83,7 @@ class CurvePointCount:
 
 @dataclass
 class QuarticImageRecord:
-    t: int
+    count: CurvePointCount  # the slope's curve count the size comes from
     exact_size: int
     floor_bound: int
     sharp: bool
@@ -152,16 +152,6 @@ def curve_point_count(field: Field, t: int) -> CurvePointCount:
     return CurvePointCount(t=t, v=v, delta=field.trace_abs(t))
 
 
-def quartic_image_exact(field: Field, t: int) -> int:
-    """|{x^4 + x^3 + t*x}| from the curve pair count; odd m and t != 0 only."""
-    if field.m % 2 == 0:
-        raise ValueError("the exact image-size formula needs odd m")
-    if t == 0:
-        raise ValueError("the exact image-size formula needs t != 0")
-    c = curve_point_count(field, t)
-    return _size_from_count(field.q, c.v, c.delta)
-
-
 def quartic_floor_bound(m: int) -> int:
     """floor(5q/8 + (2*sqrt(q) + 5)/8) in pure integers, odd m.
 
@@ -177,9 +167,18 @@ def quartic_floor_bound(m: int) -> int:
 
 
 def image_record(field: Field, t: int) -> QuarticImageRecord:
-    size = quartic_image_exact(field, t)
+    """|{x^4 + x^3 + t*x}| from one curve pair count, against the floor bound.
+
+    Odd m and t != 0 only.
+    """
+    if field.m % 2 == 0:
+        raise ValueError("the exact image-size formula needs odd m")
+    if t == 0:
+        raise ValueError("the exact image-size formula needs t != 0")
+    c = curve_point_count(field, t)
+    size = _size_from_count(field.q, c.v, c.delta)
     bound = quartic_floor_bound(field.m)
-    return QuarticImageRecord(t=t, exact_size=size, floor_bound=bound, sharp=size == bound)
+    return QuarticImageRecord(count=c, exact_size=size, floor_bound=bound, sharp=size == bound)
 
 
 def sharpness_search(field: Field) -> SharpnessResult:

@@ -2,16 +2,20 @@
 
 Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops.
-Nothing imports the library's vectorized paths, except `kernel_bluher`:
-the O(q^2) scan of every (b, x) on the field's slope kernel, kept as the
-cross-check of the library's O(q) count at sizes the scalar loop cannot
-reach.
+Nothing imports the library's vectorized paths, except two helpers for
+sizes the scalar loops cannot reach: `sparse_values`, which feeds a
+sparse sum of monomials to the library's affinity gate, and
+`kernel_bluher`, the O(q^2) scan of every (b, x) on the field's slope
+kernel, kept as the cross-check of the library's O(q) count.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
+
+from kakeyagf.fiber import Gold, Quartic
 
 
 def pmul(a: int, b: int) -> int:
@@ -68,11 +72,39 @@ def naive_largest_irreducible(m: int) -> int:
     return next(p for p in range((2 << m) - 1, 1 << m, -2) if naive_is_irreducible(p))
 
 
-def naive_image(field, fn, t, evaluate) -> set[int]:
+@dataclass(frozen=True)
+class SparseExponentSum:
+    """x -> sum of c * x^e over (exponent, coefficient) terms."""
+
+    terms: tuple[tuple[int, int], ...]
+
+
+def evaluate(field, fn, x: int) -> int:
+    """f(x) by scalar field arithmetic, for Gold, Quartic or SparseExponentSum."""
+    if isinstance(fn, Gold):
+        return field.pow(x, (1 << fn.i) + 1)
+    if isinstance(fn, Quartic):
+        x2 = field.mul(x, x)
+        return field.mul(x2, x2) ^ field.mul(x2, x)
+    acc = 0
+    for e, c in fn.terms:
+        acc ^= field.mul(c, field.pow(x, e))
+    return acc
+
+
+def sparse_values(field, fn: SparseExponentSum) -> np.ndarray:
+    """f(x) for every x in encoding order, from the field's bulk power and product."""
+    acc = np.zeros(field.q, dtype=np.int64)
+    for e, c in fn.terms:
+        acc ^= field.mul_arrays(c, field.pow_all(e))
+    return acc
+
+
+def naive_image(field, fn, t) -> set[int]:
     return {evaluate(field, fn, x) ^ field.mul(t, x) for x in field.elements()}
 
 
-def naive_fiber(field, fn, t, evaluate) -> dict[int, int]:
+def naive_fiber(field, fn, t) -> dict[int, int]:
     pre = Counter(evaluate(field, fn, x) ^ field.mul(t, x) for x in field.elements())
     omega = Counter(pre.values())
     missing = field.q - len(pre)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from kakeyagf import bluher, kakeya
+from kakeyagf import bluher, gold, kakeya, quartic
 from kakeyagf.cli import main
 
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
@@ -96,6 +96,35 @@ def test_gold_modulus_override():
     assert json.loads(r.stdout)["size_at_nonzero"] == 10
     r = run_cli("gold", "--m", "4", "--i", "2", "--modulus", "15")
     assert r.returncode == 2  # reducible
+
+
+def test_gold_verify_sweeps_once_under_modulus(monkeypatch, capsys):
+    swept = []
+    image_sizes_all = gold.image_sizes_all
+
+    def recording(field, fn):
+        swept.append(field.modulus)
+        return image_sizes_all(field, fn)
+
+    monkeypatch.setattr(gold, "image_sizes_all", recording)
+    assert main(["gold", "--m", "4", "--i", "2", "--verify", "--modulus", "19",
+                 "--format", "json"]) == 0
+    assert swept == [0x19]
+    assert json.loads(capsys.readouterr().out)["scale_invariant"] is True
+
+
+def test_quartic_slope_counts_curve_once(monkeypatch, capsys):
+    calls = []
+    curve_point_count = quartic.curve_point_count
+
+    def recording(field, t):
+        calls.append(t)
+        return curve_point_count(field, t)
+
+    monkeypatch.setattr(quartic, "curve_point_count", recording)
+    assert main(["quartic", "--m", "5", "--t", "3", "--format", "json"]) == 0
+    assert calls == [3]
+    assert json.loads(capsys.readouterr().out)["formula_matches_bruteforce"] is True
 
 
 def test_quartic_verb():

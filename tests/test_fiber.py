@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kakeyagf.field import make_field, smallest_irreducible
-from kakeyagf.fiber import (Gold, Quartic, SparseExponentSum, evaluate, fiber_distribution,
-                            function_label, image_sizes_all, image_values)
+from kakeyagf.fiber import (Gold, Quartic, fiber_distribution, function_label, image_sizes_all,
+                            image_values, values_all)
 
-from helpers_naive import naive_fiber, naive_image, naive_irreducibles
+from helpers_naive import (SparseExponentSum, evaluate, naive_fiber, naive_image,
+                           naive_irreducibles)
 
 
 def test_evaluate_frozen():
+    # the scalar oracle every scan below rests on
     f4 = make_field(2)
     assert evaluate(f4, Quartic(), 0) == 0
     assert evaluate(f4, Quartic(), 1) == 0  # 1 + 1
@@ -23,9 +25,9 @@ def test_evaluate_frozen():
 def test_gold_index_validated():
     f4 = make_field(2)
     with pytest.raises(ValueError):
-        evaluate(f4, Gold(2), 1)
+        values_all(f4, Gold(2))
     with pytest.raises(ValueError):
-        evaluate(f4, Gold(-1), 1)
+        values_all(f4, Gold(-1))
 
 
 def test_image_values_frozen():
@@ -41,7 +43,7 @@ def test_fiber_distribution_frozen():
     assert fiber_distribution(make_field(2), Quartic(), 0).omega == {0: 1, 1: 2, 2: 1}
 
 
-FNS = [Gold(1), Quartic(), SparseExponentSum(((2, 1), (3, 1)))]
+FNS = [Gold(1), Quartic()]
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -51,20 +53,10 @@ def test_against_scan_oracle(m, fn):
         field = make_field(m, modulus)
         sizes = image_sizes_all(field, fn)
         for t in field.elements():
-            ref_image = naive_image(field, fn, t, evaluate)
+            ref_image = naive_image(field, fn, t)
             assert sizes[t] == len(ref_image)
             assert set(image_values(field, fn, t)) == ref_image
-            assert fiber_distribution(field, fn, t).nonzero() == naive_fiber(field, fn, t, evaluate)
-
-
-def test_sparse_profiles_inverse_plus_square():
-    # f(x) = x^(q-2) + x^2 is profileable like any other family
-    for m in (3, 5):
-        field = make_field(m)
-        fn = SparseExponentSum(((field.q - 2, 1), (2, 1)))
-        sizes = image_sizes_all(field, fn)
-        for t in field.elements():
-            assert sizes[t] == len(naive_image(field, fn, t, evaluate))
+            assert fiber_distribution(field, fn, t).nonzero() == naive_fiber(field, fn, t)
 
 
 @pytest.mark.parametrize("m", range(1, 11))

@@ -7,7 +7,7 @@ import pytest
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Gold, image_sizes_all
 from kakeyagf.gold import (gold_profile, half_gold_sweep, image_profile_sweep, profile_case,
-                           scale_invariance_check, verify_half_gold_structure)
+                           verify_half_gold_structure)
 
 
 def test_profile_frozen():
@@ -39,7 +39,7 @@ def test_gcd_dichotomy():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_profile_matches_bruteforce(m):
     for i in range(1, m):
-        assert profile_case(m, i)["ok"], (m, i)
+        assert profile_case(make_field(m), i)["ok"], (m, i)
 
 
 def test_half_gold_structure_frozen():
@@ -60,14 +60,8 @@ def test_half_gold_rejects_odd_degree():
 
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_scale_invariance(m):
-    assert scale_invariance_check(make_field(m), m // 2)
-
-
-def test_scale_invariance_preconditions():
-    with pytest.raises(ValueError):
-        scale_invariance_check(make_field(3), 1)
-    with pytest.raises(ValueError):
-        scale_invariance_check(make_field(4), 1)
+    # |I(t)| is the same for every t != 0, read off the profile's own sweep
+    assert profile_case(make_field(m), m // 2)["scale_invariant"]
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from kakeyagf.field import make_field
-from kakeyagf.fiber import Gold, Quartic, SparseExponentSum, evaluate, image_values
+from kakeyagf.fiber import Gold, Quartic, image_values, values_all
 from kakeyagf.kakeya import (KakeyaSet, bound_dominance_rows, bound_eval, bound_report,
                              build_kakeya, canonical_directions, construction_case,
                              is_gf2_affine, kakeya_size_from_images, pack_point,
                              unpack_point, verify_kakeya)
 
-from helpers_naive import naive_has_line, naive_image, naive_irreducibles, naive_kakeya_points
+from helpers_naive import (SparseExponentSum, evaluate, naive_has_line, naive_image,
+                           naive_irreducibles, naive_kakeya_points, sparse_values)
+
+
+def _values(field, fn):
+    return sparse_values(field, fn) if isinstance(fn, SparseExponentSum) else values_all(field, fn)
 
 
 def test_size_from_images_frozen():
@@ -30,10 +35,11 @@ def test_size_from_images_frozen():
 
 def test_affinity_gate():
     f4 = make_field(2)
-    assert is_gf2_affine(f4, Gold(0))  # x^2 is linear
-    assert not is_gf2_affine(f4, Gold(1))
-    assert not is_gf2_affine(make_field(3), Quartic())
-    assert is_gf2_affine(make_field(3), SparseExponentSum(((2, 1), (1, 1), (0, 5))))
+    assert is_gf2_affine(f4, values_all(f4, Gold(0)))  # x^2 is linear
+    assert not is_gf2_affine(f4, values_all(f4, Gold(1)))
+    f8 = make_field(3)
+    assert not is_gf2_affine(f8, values_all(f8, Quartic()))
+    assert is_gf2_affine(f8, sparse_values(f8, SparseExponentSum(((2, 1), (1, 1), (0, 5)))))
     with pytest.raises(ValueError):
         build_kakeya(f4, 2, Gold(0))
 
@@ -50,15 +56,17 @@ def test_affinity_gate_matches_pairwise_definition(m):
     fns = [Gold(i) for i in range(m)] + [Quartic(), SparseExponentSum(((2, 1), (1, 1), (0, 1))),
                                          SparseExponentSum(((4, 1), (3, 1)))]
     for fn in fns:
-        assert is_gf2_affine(field, fn) == _pairwise_affine(field, fn)
+        assert is_gf2_affine(field, _values(field, fn)) == _pairwise_affine(field, fn)
 
 
 def test_affinity_gate_exhaustive_large_field():
     # sum of x^k over 1 <= k < q is 1 at x = 1 and 0 elsewhere: it breaks
     # additivity only on the pairs that involve 1
     field = make_field(12)
-    assert is_gf2_affine(field, SparseExponentSum(((2, 1), (4, 3), (1024, 7), (0, 5))))
-    assert not is_gf2_affine(field, SparseExponentSum(tuple((k, 1) for k in range(1, field.q))))
+    linear = SparseExponentSum(((2, 1), (4, 3), (1024, 7), (0, 5)))
+    assert is_gf2_affine(field, sparse_values(field, linear))
+    spike = SparseExponentSum(tuple((k, 1) for k in range(1, field.q)))
+    assert not is_gf2_affine(field, sparse_values(field, spike))
 
 
 def test_build_gf4_gold1():
@@ -68,7 +76,7 @@ def test_build_gf4_gold1():
     # trailing-zero overlaps between blocks: the distinct set is smaller
     assert ks.distinct_point_count == 13
     ref = naive_kakeya_points(f4, 2, {t: image_values(f4, Gold(1), t) for t in range(4)})
-    assert ks.point_set() == {pack_point(p, 2) for p in ref}
+    assert set(ks.points.tolist()) == {pack_point(p, 2) for p in ref}
     assert verify_kakeya(ks).ok
 
 
@@ -76,15 +84,13 @@ def test_build_dimension_one():
     f4 = make_field(2)
     ks = build_kakeya(f4, 1, Quartic())
     assert ks.size == 4
-    assert ks.point_set() == {0, 1, 2, 3}  # the whole line
+    assert ks.points.tolist() == [0, 1, 2, 3]  # the whole line
     assert verify_kakeya(ks).ok
 
 
 def test_build_cap():
     ks = build_kakeya(make_field(2), 2, Gold(1), materialize_cap=10)
     assert ks.capped and ks.points is None and ks.size == 15
-    with pytest.raises(ValueError):
-        ks.point_set()
     with pytest.raises(ValueError):
         verify_kakeya(ks)
 
@@ -142,7 +148,7 @@ def test_verify_reports_missing_direction():
     ks = build_kakeya(f4, 2, Gold(1))
     # dropping (w, 0) kills the only full line in direction (1, 0) and
     # nothing else (cross-checked with the naive verifier)
-    broken = ks.point_set() - {pack_point((2, 0), 2)}
+    broken = set(ks.points.tolist()) - {pack_point((2, 0), 2)}
     ks2 = KakeyaSet(field=f4, n=2, fn=ks.fn, image_sizes=ks.image_sizes,
                     size=ks.size, points=np.array(sorted(broken), dtype=np.int64))
     res = verify_kakeya(ks2)
@@ -154,34 +160,28 @@ def test_verify_reports_missing_direction():
 
 
 def test_bound_eval_frozen():
-    assert bound_eval("new_even", 4, 2) == 18.0
-    assert abs(bound_eval("klss_even_power", 4, 2) - 18.0) <= 1e-12 * 18.0
+    new, klss = bound_eval(4, 2)
+    assert new == 18.0
+    assert abs(klss - 18.0) <= 1e-12 * 18.0
+    new, klss = bound_eval(8, 1)
     # 64/(37 + 4*sqrt(2)) * (45 + 4*sqrt(2))/8, evaluated at high precision
-    assert abs(bound_eval("new_odd", 8, 1) - 9.500345047144718) <= 1e-12 * 9.5
-    assert abs(bound_eval("klss_odd_power", 8, 1) - 11.82842712474619) <= 1e-12 * 11.8
-    assert abs(bound_eval("klss_odd", 9, 2) - 2.25 * 25.0) <= 1e-12 * 56.0
+    assert abs(new - 9.500345047144718) <= 1e-12 * 9.5
+    assert abs(klss - 11.82842712474619) <= 1e-12 * 11.8
 
 
 def test_bound_eval_validation():
+    for q in (0, 1, 12):  # not a power of 2 above 1
+        with pytest.raises(ValueError):
+            bound_eval(q, 2)
     with pytest.raises(ValueError):
-        bound_eval("nope", 4, 2)
-    with pytest.raises(ValueError):
-        bound_eval("new_even", 8, 2)  # odd power of 2
-    with pytest.raises(ValueError):
-        bound_eval("new_odd", 16, 2)
-    with pytest.raises(ValueError):
-        bound_eval("klss_even_power", 12, 2)  # not a power of 2
-    with pytest.raises(ValueError):
-        bound_eval("klss_odd", 8, 2)
-    with pytest.raises(ValueError):
-        bound_eval("new_even", 4, 0)
+        bound_eval(4, 0)
 
 
 def test_bound_report_gf4():
     f4 = make_field(2)
     rep = bound_report(f4, 2, Gold(1), 15)
-    assert rep.new_kind == "new_even" and rep.klss_kind == "klss_even_power"
     assert rep.new_ok and rep.klss_ok and rep.ok
+    assert (rep.new_bound, rep.klss_bound) == bound_eval(4, 2)
     assert rep.new_bound == 18.0
 
 
@@ -265,7 +265,7 @@ def test_build_matches_naive_second_modulus(m, n):
     field = make_field(m, naive_irreducibles(m)[1])
     fn = _parity_map(m)
     ks = build_kakeya(field, n, fn)
-    images = {t: sorted(naive_image(field, fn, t, evaluate)) for t in field.elements()}
+    images = {t: sorted(naive_image(field, fn, t)) for t in field.elements()}
     ref = naive_kakeya_points(field, n, images)
     assert ks.points.tolist() == sorted(pack_point(p, m) for p in ref)
     assert ks.size == sum(len(v) ** j for v in images.values() for j in range(n))

@@ -10,11 +10,10 @@ from kakeyagf.quartic import (_curve_counts, _curve_counts_all, curve_point_coun
                               fiber_formula_case, floor_bound_consistency,
                               image_exact_case, image_record,
                               omega0_distribution, omega1_formula, omega3_formula,
-                              quartic_floor_bound, quartic_image_exact, sharpness_search)
+                              quartic_floor_bound, sharpness_search)
 
 from helpers_naive import (naive_curve_pairs, naive_image, naive_irreducibles,
                            naive_largest_irreducible)
-from kakeyagf.fiber import evaluate
 
 
 def test_omega1_frozen():
@@ -89,23 +88,23 @@ def test_image_exact_frozen_gf8():
     field = make_field(3)
     expected = [5, 5, 6, 5, 6, 5, 6]
     for t in range(1, 8):
-        assert quartic_image_exact(field, t) == expected[t - 1]
-        assert quartic_image_exact(field, t) == len(image_values(field, Quartic(), t))
-        assert quartic_image_exact(field, t) <= 6
+        size = image_record(field, t).exact_size
+        assert size == expected[t - 1] == len(image_values(field, Quartic(), t))
+        assert size <= 6
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_image_exact_matches_scan(m):
     field = make_field(m)
     for t in range(1, field.q):
-        assert quartic_image_exact(field, t) == len(naive_image(field, Quartic(), t, evaluate))
+        assert image_record(field, t).exact_size == len(naive_image(field, Quartic(), t))
 
 
 def test_image_exact_domain_errors():
     with pytest.raises(ValueError):
-        quartic_image_exact(make_field(4), 1)
+        image_record(make_field(4), 1)
     with pytest.raises(ValueError):
-        quartic_image_exact(make_field(3), 0)
+        image_record(make_field(3), 0)
 
 
 def test_hasse_window_small():
@@ -150,6 +149,7 @@ def test_sharpness_small():
 def test_image_record():
     rec = image_record(make_field(3), 3)
     assert (rec.exact_size, rec.floor_bound, rec.sharp) == (6, 6, True)
+    assert (rec.count.t, rec.count.v, rec.count.delta) == (3, 5, 1)
 
 
 def test_image_exact_case_spot_mode():
