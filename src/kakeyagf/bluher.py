@@ -71,7 +71,7 @@ def _agreement_case(args) -> BluherCount:
     return agreement_case(*args)
 
 
-def agreement_sweep(m_max: int = 12, workers: int = 1, m_min: int = 2) -> list[BluherCount]:
+def agreement_sweep(m_max: int, workers: int = 1) -> list[BluherCount]:
     """Formula vs brute force for every 2 <= m <= m_max and 0 <= i < m."""
-    cases = [(m, i) for m in range(m_min, m_max + 1) for i in range(m)]
+    cases = [(m, i) for m in range(2, m_max + 1) for i in range(m)]
     return parallel_map(_agreement_case, cases, workers)

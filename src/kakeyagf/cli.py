@@ -4,7 +4,9 @@ Pure orchestration; all mathematics lives in the library modules. Output
 is deterministic for a fixed configuration and seed regardless of the
 worker count: work items are mapped in a fixed order and every collection
 is emitted sorted. JSON is the machine format of record; csv and text are
-renderings of the same report object.
+renderings of the same report object. Every verb takes `--format`; only
+`all` and `verify-bluher` take `-j`, and only `all`, which samples, takes
+`--seed`.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. Input is validated here, so exit 2 means bad input and nothing
@@ -21,7 +23,7 @@ import sys
 
 from . import bluher, gold, kakeya, quartic
 from .field import MAX_DEGREE, make_field
-from .fiber import Gold, Quartic, fiber_distribution, values_all
+from .fiber import Gold, Quartic, fiber_distribution
 
 USAGE_ERROR = 2
 # `quartic` without --t checks the fiber histograms and image sizes of every
@@ -174,7 +176,7 @@ def _run_quartic(args: argparse.Namespace) -> int:
     payload["fiber_formulas_ok"] = fib["ok"]
     ok = fib["ok"]
     if m % 2 == 1:
-        case = quartic.image_exact_case(field, spot=None, seed=args.seed)
+        case = quartic.image_exact_case(field)
         payload["image_exact_ok"] = case["match_ok"]
         payload["hasse_ok"] = case["hasse_ok"]
         payload["floor_bound"] = quartic.quartic_floor_bound(m)
@@ -200,12 +202,13 @@ def _run_kakeya(args: argparse.Namespace) -> int:
     fn = _parse_function(args.f)
     if isinstance(fn, Gold) and not 0 <= fn.i < field.m:
         raise UsageError(f"gold index {fn.i} outside 0..{field.m - 1}")
-    if kakeya.is_gf2_affine(field, values_all(field, fn)):
-        raise UsageError(f"{args.f} is GF(2)-affine; the construction needs a non-linear map")
     # only the check uses the points, and they pack into ints only up to PACKED_BITS
     packable = args.n * field.m <= kakeya.PACKED_BITS
-    ks = kakeya.build_kakeya(field, args.n, fn,
-                             materialize_cap=args.cap if args.check and packable else 0)
+    cap = kakeya.DEFAULT_MATERIALIZE_CAP if args.check and packable else 0
+    try:
+        ks = kakeya.build_kakeya(field, args.n, fn, materialize_cap=cap)
+    except kakeya.AffineMapError as exc:
+        raise UsageError(str(exc))
     rep = kakeya.bound_report(field, args.n, fn, ks.size)
     verified = None
     if args.check:
@@ -241,28 +244,21 @@ def _run_all(args: argparse.Namespace) -> int:
     workers = args.parallelism
     checks = []
 
-    def add(name, rows, ok_key="ok"):
-        ok = all(r[ok_key] for r in rows)
+    def add(name, rows):
+        ok = all(r["ok"] for r in rows)
         checks.append({"name": name, "ok": ok, "cases": len(rows)})
         return ok
 
     add("bluher-agreement",
         [{"ok": r.agree} for r in bluher.agreement_sweep(min(12, m_max), workers)])
-    add("gold-image-profile", gold.image_profile_sweep(min(12, m_max), workers))
-    add("half-gold-structure", gold.half_gold_sweep(min(12, m_max), workers))
-    add("quartic-fiber-formulas", quartic.fiber_formula_sweep(min(13, m_max), workers))
-    odds = [m for m in (3, 5, 7, 9, 11) if m <= m_max]
-    add("quartic-image-exact",
-        quartic.image_exact_sweep(odds, spot_m=13 if m_max >= 13 else None,
-                                  seed=args.seed, workers=workers))
-    add("quartic-floor-sharpness",
-        quartic.sharpness_sweep([m for m in (1, 3, 5, 7, 9, 11, 13) if m <= m_max],
-                                workers))
-    add("kakeya-construction",
-        kakeya.construction_sweep(ms=[m for m in (2, 3, 4) if m <= m_max],
-                                  workers=workers))
+    add("gold-image-profile", gold.image_profile_sweep(m_max, workers))
+    add("half-gold-structure", gold.half_gold_sweep(m_max, workers))
+    add("quartic-fiber-formulas", quartic.fiber_formula_sweep(m_max, workers))
+    add("quartic-image-exact", quartic.image_exact_sweep(m_max, args.seed, workers))
+    add("quartic-floor-sharpness", quartic.sharpness_sweep(m_max, workers))
+    add("kakeya-construction", kakeya.construction_sweep(m_max, workers))
     add("bound-dominance", kakeya.bound_dominance_rows())
-    add("floor-bound-integer-path", quartic.floor_bound_consistency(31))
+    add("floor-bound-integer-path", quartic.floor_bound_consistency())
 
     ok = all(c["ok"] for c in checks)
     payload = {"m_max": m_max, "seed": args.seed, "checks": checks, "ok": ok}
@@ -278,8 +274,9 @@ def _run_all(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--parallelism", "-j", type=int, default=1)
-    common.add_argument("--seed", type=int, default=0)
+
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--parallelism", "-j", type=int, default=1)
 
     modulus = argparse.ArgumentParser(add_help=False)
     modulus.add_argument("--modulus", type=str, default=None,
@@ -290,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Kakeya sets over binary fields: constructions, exact counts, verification")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("verify-bluher", parents=[common],
+    p = sub.add_parser("verify-bluher", parents=[common, workers],
                        help="no-root counts: closed form vs brute force")
     p.set_defaults(handler=_run_verify_bluher)
     p.add_argument("--m-max", type=int, default=12)
@@ -321,23 +318,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=str, required=True, help="gold:I or quartic")
     p.add_argument("--check", action="store_true",
                    help="exhaustively verify the line-in-every-direction property")
-    p.add_argument("--cap", type=int, default=kakeya.DEFAULT_MATERIALIZE_CAP)
 
     p = sub.add_parser("bounds", parents=[common], help="bound comparison table")
     p.set_defaults(handler=_run_bounds)
     p.add_argument("--m-range", type=str, required=True, help="like 3..7")
     p.add_argument("--n-range", type=str, required=True, help="like 1..6")
 
-    p = sub.add_parser("all", parents=[common], help="full verification sweep")
+    p = sub.add_parser("all", parents=[common, workers], help="full verification sweep")
     p.set_defaults(handler=_run_all)
     p.add_argument("--m-max", type=int, default=13)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def _validate(args: argparse.Namespace) -> None:
     """Check what argparse cannot, decoding the hex and range options in place."""
-    if args.parallelism < 1:
+    if getattr(args, "parallelism", 1) < 1:
         raise UsageError("--parallelism must be >= 1")
     if getattr(args, "modulus", None) is not None:
         args.modulus = _parse_hex(args.modulus)

@@ -52,14 +52,6 @@ class FiberDistribution:
     t: int
     omega: dict[int, int]
 
-    def total_values(self) -> int:
-        """Accounts for every y once, so it must equal q."""
-        return sum(self.omega.values())
-
-    def total_preimages(self) -> int:
-        """Accounts for every x once, so it must equal q."""
-        return sum(k * c for k, c in self.omega.items())
-
     def image_size(self) -> int:
         return sum(c for k, c in self.omega.items() if k >= 1)
 

@@ -131,8 +131,8 @@ def _profile_case(args) -> dict:
     return profile_case(make_field(m), i)
 
 
-def image_profile_sweep(m_max: int = 12, workers: int = 1) -> list[dict]:
-    cases = [(m, i) for m in range(2, m_max + 1) for i in range(1, m)]
+def image_profile_sweep(m_max: int, workers: int = 1) -> list[dict]:
+    cases = [(m, i) for m in range(2, min(12, m_max) + 1) for i in range(1, m)]
     return parallel_map(_profile_case, cases, workers)
 
 
@@ -146,5 +146,5 @@ def half_gold_case(m: int) -> dict:
             "size_at_one": st.image_size_at_one, "ok": st.ok and sizes_ok}
 
 
-def half_gold_sweep(m_max: int = 12, workers: int = 1) -> list[dict]:
-    return parallel_map(half_gold_case, list(range(2, m_max + 1, 2)), workers)
+def half_gold_sweep(m_max: int, workers: int = 1) -> list[dict]:
+    return parallel_map(half_gold_case, list(range(2, min(12, m_max) + 1, 2)), workers)

@@ -73,18 +73,6 @@ def is_gf2_affine(field: Field, vals: np.ndarray) -> bool:
     return bool(np.array_equal(ext, lin))
 
 
-def pack_point(coords, m: int) -> int:
-    p = 0
-    for k, c in enumerate(coords):
-        p |= c << (k * m)
-    return p
-
-
-def unpack_point(p: int, m: int, n: int) -> tuple[int, ...]:
-    mask = (1 << m) - 1
-    return tuple((p >> (k * m)) & mask for k in range(n))
-
-
 @dataclass
 class KakeyaSet:
     field: Field
@@ -92,12 +80,15 @@ class KakeyaSet:
     fn: FunctionSpec
     image_sizes: dict[int, int]
     size: int                   # block total; equals kakeya_size_from_images
-    points: np.ndarray | None   # sorted packed tuples, deduplicated
-    capped: bool = False
+    points: np.ndarray | None   # sorted packed tuples, deduplicated; None above the cap
 
     @property
     def distinct_point_count(self) -> int | None:
         return None if self.points is None else int(self.points.size)
+
+
+class AffineMapError(ValueError):
+    """`build_kakeya` was given a GF(2)-affine map, which the construction cannot use."""
 
 
 def build_kakeya(field: Field, n: int, fn: FunctionSpec,
@@ -106,13 +97,13 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if is_gf2_affine(field, values_all(field, fn)):
-        raise ValueError(
+        raise AffineMapError(
             f"{function_label(fn)} is GF(2)-affine; the construction needs a non-linear map")
     sizes = image_sizes_all(field, fn)
     image_sizes = {t: int(sizes[t]) for t in range(field.q)}
     size = kakeya_size_from_images(image_sizes, n)
     if size > materialize_cap:
-        return KakeyaSet(field, n, fn, image_sizes, size, None, capped=True)
+        return KakeyaSet(field, n, fn, image_sizes, size, None)
     m = field.m
     if n * m > PACKED_BITS:
         raise ValueError(f"packed points need n*m <= {PACKED_BITS} bits, got {n * m}")
@@ -222,12 +213,11 @@ def bound_report(field: Field, n: int, fn: FunctionSpec, size: int) -> BoundRepo
                        new_ok=size < new_bound, klss_ok=size < klss_bound)
 
 
-def construction_case(m: int, n: int,
-                      materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> dict:
+def construction_case(m: int, n: int) -> dict:
     """Build, verify and bound-check one (q, n) with the parity-matched map."""
     field = make_field(m)
     fn = Quartic() if m % 2 else Gold(m // 2)
-    ks = build_kakeya(field, n, fn, materialize_cap=materialize_cap)
+    ks = build_kakeya(field, n, fn)
     ver = verify_kakeya(ks)
     rep = bound_report(field, n, fn, ks.size)
     ok = (ks.size == kakeya_size_from_images(ks.image_sizes, n)
@@ -243,8 +233,8 @@ def _construction_case(args) -> dict:
     return construction_case(*args)
 
 
-def construction_sweep(ms=(2, 3, 4), ns=(2, 3), workers: int = 1) -> list[dict]:
-    cases = [(m, n) for m in ms for n in ns]
+def construction_sweep(m_max: int, workers: int = 1) -> list[dict]:
+    cases = [(m, n) for m in range(2, min(4, m_max) + 1) for n in (2, 3)]
     return parallel_map(_construction_case, cases, workers)
 
 

@@ -219,8 +219,8 @@ def _fiber_formula_case(m: int) -> dict:
     return fiber_formula_case(make_field(m))
 
 
-def fiber_formula_sweep(m_max: int = 13, workers: int = 1) -> list[dict]:
-    return parallel_map(_fiber_formula_case, list(range(1, m_max + 1)), workers)
+def fiber_formula_sweep(m_max: int, workers: int = 1) -> list[dict]:
+    return parallel_map(_fiber_formula_case, list(range(1, min(13, m_max) + 1)), workers)
 
 
 def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> dict:
@@ -251,12 +251,10 @@ def _image_exact_case(args) -> dict:
     return image_exact_case(make_field(m), spot, seed)
 
 
-def image_exact_sweep(m_exhaustive=(3, 5, 7, 9, 11), spot_m: int | None = 13,
-                      spot_count: int = 100, seed: int = 0,
-                      workers: int = 1) -> list[dict]:
-    cases = [(m, None, seed) for m in m_exhaustive]
-    if spot_m is not None:
-        cases.append((spot_m, spot_count, seed))
+def image_exact_sweep(m_max: int, seed: int, workers: int = 1) -> list[dict]:
+    cases = [(m, None, seed) for m in range(3, min(11, m_max) + 1, 2)]
+    if m_max >= 13:
+        cases.append((13, 100, seed))
     return parallel_map(_image_exact_case, cases, workers)
 
 
@@ -266,16 +264,16 @@ def sharpness_case(m: int) -> dict:
             "witnesses": r.witnesses[:4], "ok": r.sharp}
 
 
-def sharpness_sweep(ms=(1, 3, 5, 7, 9, 11, 13), workers: int = 1) -> list[dict]:
-    return parallel_map(sharpness_case, list(ms), workers)
+def sharpness_sweep(m_max: int, workers: int = 1) -> list[dict]:
+    return parallel_map(sharpness_case, list(range(1, min(13, m_max) + 1, 2)), workers)
 
 
-def floor_bound_consistency(m_max: int = 31) -> list[dict]:
-    """Integer floor bound vs a 60-digit decimal evaluation, odd m <= m_max."""
+def floor_bound_consistency() -> list[dict]:
+    """Integer floor bound vs a 60-digit decimal evaluation, odd m <= 31."""
     rows = []
     with localcontext() as ctx:
         ctx.prec = 60
-        for m in range(1, m_max + 1, 2):
+        for m in range(1, 32, 2):
             q = 1 << m
             val = (Decimal(5 * q) + Decimal(4 * q).sqrt() + 5) / 8
             ref = int(val.to_integral_value(rounding=ROUND_FLOOR))

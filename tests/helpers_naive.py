@@ -1,7 +1,8 @@
 """Definitional reference implementations the library is checked against.
 
 Everything here is deliberately slow and simple: schoolbook polynomial
-arithmetic on ints, per-element dict/set scans, literal double loops.
+arithmetic on ints, per-element dict/set scans, literal double loops,
+and the tests' own views of library objects (packed points, fiber sums).
 Nothing imports the library's vectorized paths, except two helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
 sparse sum of monomials to the library's affinity gate, and
@@ -143,6 +144,29 @@ def kernel_bluher(field, i: int) -> int:
     """
     p = field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1]
     return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
+
+
+def pack_point(coords, m: int) -> int:
+    """A point as the library stores it: coordinate k in bits k*m..k*m+m-1."""
+    p = 0
+    for k, c in enumerate(coords):
+        p |= c << (k * m)
+    return p
+
+
+def unpack_point(p: int, m: int, n: int) -> tuple[int, ...]:
+    mask = (1 << m) - 1
+    return tuple((p >> (k * m)) & mask for k in range(n))
+
+
+def total_values(dist) -> int:
+    """A fiber histogram accounts for every y once, so this must equal q."""
+    return sum(dist.omega.values())
+
+
+def total_preimages(dist) -> int:
+    """A fiber histogram accounts for every x once, so this must equal q."""
+    return sum(k * c for k, c in dist.omega.items())
 
 
 def naive_kakeya_points(field, n: int, image_values_by_t: dict[int, list[int]]) -> set[tuple[int, ...]]:

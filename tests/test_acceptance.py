@@ -25,22 +25,23 @@ def _report(name, rows, key="ok"):
 
 def test_bluher_agreement():
     # every (m, i) with 2 <= m <= 12, 0 <= i < m: formula == brute force
-    rows = bluher.agreement_sweep(m_max=12)
-    assert len(rows) == sum(range(2, 13))
+    rows = bluher.agreement_sweep(12)
+    assert [(r.m, r.i) for r in rows] == [(m, i) for m in range(2, 13) for i in range(m)]
     _report("bluher-agreement", rows, key="agree")
 
 
 def test_gold_image_profile():
-    # closed-form |I(t)| vs brute force for all 2 <= m <= 12, 1 <= i < m, all t
-    rows = gold.image_profile_sweep(m_max=12)
-    assert len(rows) == sum(m - 1 for m in range(2, 13))
+    # closed-form |I(t)| vs brute force for all 2 <= m <= 12, 1 <= i < m, all t;
+    # `all`'s default m_max = 13 stops at 12
+    rows = gold.image_profile_sweep(13)
+    assert [(r["m"], r["i"]) for r in rows] == [(m, i) for m in range(2, 13) for i in range(1, m)]
     _report("gold-image-profile", rows)
 
 
 def test_half_gold_structure():
     # even m <= 12: |I(0)| = sqrt(q), |I(t)| = (q+sqrt(q))/2, plus the
     # subfield-image / injective-on-trace-one / 2-to-1 facts, exhaustively
-    rows = gold.half_gold_sweep(m_max=12)
+    rows = gold.half_gold_sweep(13)
     assert [r["m"] for r in rows] == [2, 4, 6, 8, 10, 12]
     for r in rows:
         assert r["structure_ok"] and r["sizes_ok"]
@@ -49,8 +50,8 @@ def test_half_gold_structure():
 
 def test_quartic_fiber_formulas():
     # m <= 13, all t: single/triple-fiber counts and the slope-0 histogram
-    rows = quartic.fiber_formula_sweep(m_max=13)
-    assert [r["m"] for r in rows] == list(range(1, 14))
+    rows = quartic.fiber_formula_sweep(13)
+    assert [r["m"] for r in rows] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
     _report("quartic-fiber-formulas", rows)
 
 
@@ -58,18 +59,19 @@ def test_quartic_image_exact():
     # odd m in {3..11}: formula == brute force for every t != 0; m = 13:
     # 100 seeded slopes brute-forced plus the full fast-path sweep; the
     # |v - q| <= 2 sqrt(q) window holds for every checked slope
-    rows = quartic.image_exact_sweep(m_exhaustive=(3, 5, 7, 9, 11),
-                                     spot_m=13, spot_count=100, seed=0)
+    rows = quartic.image_exact_sweep(13, seed=0)
+    assert [r["m"] for r in rows] == [3, 5, 7, 9, 11, 13]
     for r in rows:
         assert r["hasse_ok"], r
         assert r["match_ok"], r
-    assert rows[-1]["brute_checked"] == 100
+    assert [r["brute_checked"] for r in rows] == [7, 31, 127, 511, 2047, 100]
     _report("quartic-image-exact", rows)
 
 
 def test_quartic_floor_sharpness():
     # odd m <= 13: some slope attains floor(5q/8 + (2 sqrt(q) + 5)/8)
-    rows = quartic.sharpness_sweep(ms=(1, 3, 5, 7, 9, 11, 13))
+    rows = quartic.sharpness_sweep(13)
+    assert [r["m"] for r in rows] == [1, 3, 5, 7, 9, 11, 13]
     for r in rows:
         assert r["max_size"] == r["bound"], r
     _report("quartic-floor-sharpness", rows)
@@ -79,8 +81,8 @@ def test_kakeya_construction_end_to_end():
     # (q, n) in {4, 8, 16} x {2, 3}: block total == geometric-series value,
     # the line check passes, and the total sits below both bounds (at q = 4
     # the two even-case bounds coincide; both comparisons still hold)
-    rows = kakeya.construction_sweep(ms=(2, 3, 4), ns=(2, 3))
-    assert len(rows) == 6
+    rows = kakeya.construction_sweep(13)
+    assert [(r["q"], r["n"]) for r in rows] == [(4, 2), (4, 3), (8, 2), (8, 3), (16, 2), (16, 3)]
     for r in rows:
         assert r["kakeya_verified"], r
         assert r["size"] < r["bound_new"] and r["size"] < r["bound_klss"], r
@@ -108,7 +110,9 @@ def test_floor_bound_integer_path():
         ref = int(mpmath.floor(mpmath.mpf(5) * q / 8 + (2 * mpmath.sqrt(q) + 5) / 8))
         rows.append({"m": m, "ok": quartic_floor_bound(m) == ref})
     _report("floor-bound-integer-path (mpmath)", rows)
-    _report("floor-bound-integer-path (decimal)", quartic.floor_bound_consistency(31))
+    rows = quartic.floor_bound_consistency()
+    assert [r["m"] for r in rows] == list(range(1, 32, 2))
+    _report("floor-bound-integer-path (decimal)", rows)
 
 
 def test_deterministic_reports_across_workers():

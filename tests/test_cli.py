@@ -1,5 +1,6 @@
 """CLI surface: verbs, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from kakeyagf import bluher, gold, kakeya, quartic
-from kakeyagf.cli import main
+from kakeyagf.cli import _build_parser, main
 
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
 
@@ -32,6 +33,21 @@ def test_kakeya_rejects_linear_map():
     r = run_cli("kakeya", "--m", "3", "--n", "2", "--f", "gold:0")
     assert r.returncode == 2
     assert "affine" in r.stderr
+
+
+def test_kakeya_affine_gate_runs_once(monkeypatch, capsys):
+    calls = []
+    is_gf2_affine = kakeya.is_gf2_affine
+
+    def recording(field, vals):
+        calls.append(field.q)
+        return is_gf2_affine(field, vals)
+
+    monkeypatch.setattr(kakeya, "is_gf2_affine", recording)
+    assert main(["kakeya", "--m", "3", "--n", "2", "--f", "quartic", "--check",
+                 "--format", "json"]) == 0
+    assert calls == [8]
+    assert json.loads(capsys.readouterr().out)["kakeya_verified"] is True
 
 
 def test_kakeya_bad_function():
@@ -212,3 +228,46 @@ def test_kakeya_check_skipped_above_packed_bits(capsys):
 def test_quartic_sweep_refusal_names_t(capsys):
     assert main(["quartic", "--m", "20"]) == 2
     assert "--t" in capsys.readouterr().err
+
+
+def test_kakeya_check_skipped_above_cap(capsys):
+    # q = 256, n = 4: the block total, about 6.5e8, is over the 2^24 points
+    # the check materializes; sizes and bounds still report
+    assert main(["kakeya", "--m", "8", "--n", "4", "--f", "gold:4", "--check",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr()
+    assert "materialization cap exceeded" in out.err
+    assert json.loads(out.out)["kakeya_verified"] is None
+
+
+# each verb's options; -j only where there are cases to spread over
+# workers, --seed only where something is sampled
+VERB_OPTIONS = {
+    "verify-bluher": [["--format"], ["--parallelism", "-j"], ["--m-max"]],
+    "gold": [["--format"], ["--modulus"], ["--m"], ["--i"], ["--verify"]],
+    "quartic": [["--format"], ["--modulus"], ["--m"], ["--t"]],
+    "sharpness": [["--format"], ["--modulus"], ["--m"]],
+    "kakeya": [["--format"], ["--modulus"], ["--m"], ["--n"], ["--f"], ["--check"]],
+    "bounds": [["--format"], ["--m-range"], ["--n-range"]],
+    "all": [["--format"], ["--parallelism", "-j"], ["--m-max"], ["--seed"]],
+}
+
+
+def test_verb_options_frozen():
+    sub, = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {verb: [a.option_strings for a in p._actions
+                      if not isinstance(a, argparse._HelpAction)]
+               for verb, p in sub.choices.items()}
+    assert options == VERB_OPTIONS
+    assert sum(map(len, options.values())) == 28
+
+
+@pytest.mark.parametrize("args", [
+    ["gold", "--m", "4", "--i", "2", "--seed", "0"],
+    ["bounds", "--m-range", "3..4", "--n-range", "1..2", "-j", "2"],
+    ["kakeya", "--m", "2", "--n", "2", "--f", "gold:1", "--check", "--cap", "5"],
+])
+def test_removed_options_rejected(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr

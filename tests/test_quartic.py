@@ -131,7 +131,7 @@ def test_floor_bound_vs_highprec():
         q = 1 << m
         ref = int(mpmath.floor(mpmath.mpf(5) * q / 8 + (2 * mpmath.sqrt(q) + 5) / 8))
         assert quartic_floor_bound(m) == ref
-    assert all(r["ok"] for r in floor_bound_consistency(31))
+    assert all(r["ok"] for r in floor_bound_consistency())
 
 
 def test_sharpness_small():
