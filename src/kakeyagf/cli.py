@@ -9,8 +9,10 @@ renderings of the same report object. Every verb takes `--format`; only
 `--seed`.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
-error. Input is validated here, so exit 2 means bad input and nothing
-else; an exception raised inside the library is a fault and propagates.
+error. argparse checks each option on its own through its `type=`; a verb
+checks only the rules between its inputs and the sweep budget. So exit 2
+means bad input and nothing else; an exception raised inside the library
+is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -26,30 +28,45 @@ from .field import MAX_DEGREE, make_field
 from .fiber import Gold, Quartic, fiber_distribution
 
 USAGE_ERROR = 2
-# `quartic` without --t checks the fiber histograms and image sizes of every
-# slope by brute force: O(q^2), about 4x per degree
-QUARTIC_SWEEP_MAX_M = 18
+# a brute-force sweep of every slope's image is O(q^2), about 4x per degree:
+# above this degree it runs for an hour or more
+SWEEP_MAX_M = 18
 
 
 class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_hex(s: str) -> int:
     try:
         return int(s, 16)
     except ValueError:
-        raise UsageError(f"not a hex value: {s!r}")
+        raise argparse.ArgumentTypeError(f"not a hex value: {s!r}")
+
+
+def _int_in(lo: int, hi: int | None = None):
+    def parse(s: str) -> int:
+        v = int(s)
+        if v < lo or hi is not None and v > hi:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}" if hi is None
+                                             else f"must be in {lo}..{hi}")
+        return v
+    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
+    return parse
 
 
 def _parse_range(s: str) -> tuple[int, int]:
     try:
-        lo, hi = s.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, s.split(".."))
     except ValueError:
-        raise UsageError(f"expected a range like 2..6, got {s!r}")
-    if lo > hi:
-        raise UsageError(f"empty range {s!r}")
+        raise argparse.ArgumentTypeError(f"expected a range like 2..6, got {s!r}")
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"need 1 <= lo <= hi, got {s!r}")
     return lo, hi
 
 
@@ -61,14 +78,20 @@ def _parse_function(s: str):
             return Gold(int(s.split(":", 1)[1]))
         except ValueError:
             pass
-    raise UsageError(f"unknown function {s!r}; use gold:I or quartic")
+    raise argparse.ArgumentTypeError(f"unknown function {s!r}; use gold:I or quartic")
 
 
 def _field_for(args: argparse.Namespace):
     try:
         return make_field(args.m, args.modulus)
-    except ValueError as exc:  # --m is checked already, so --modulus is bad
+    except ValueError as exc:  # argparse checked --m, so --modulus is bad
         raise UsageError(str(exc))
+
+
+def _check_sweep_budget(args: argparse.Namespace, cheaper: str) -> None:
+    if args.m > SWEEP_MAX_M:
+        raise UsageError(f"{args.verb} --m {args.m} sweeps every slope, which is out of reach "
+                         f"above m = {SWEEP_MAX_M}; {cheaper}")
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +134,6 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
 # verbs
 
 def _run_verify_bluher(args: argparse.Namespace) -> int:
-    if not 2 <= args.m_max <= MAX_DEGREE:
-        raise UsageError(f"--m-max must be in 2..{MAX_DEGREE}")
     rows = [{"m": r.m, "i": r.i, "d": r.d, "n0_formula": r.n0_formula,
              "n0_bruteforce": r.n0_bruteforce, "agree": r.agree}
             for r in bluher.agreement_sweep(args.m_max, args.parallelism)]
@@ -124,6 +145,8 @@ def _run_verify_bluher(args: argparse.Namespace) -> int:
 def _run_gold(args: argparse.Namespace) -> int:
     if not 1 <= args.i < args.m:
         raise UsageError(f"--i must satisfy 1 <= i < m = {args.m}")
+    if args.verify:
+        _check_sweep_budget(args, "drop --verify for the closed form alone")
     field = _field_for(args)
     prof = gold.gold_profile(args.m, args.i)
     payload = {"m": prof.m, "i": prof.i, "d": prof.d, "q": field.q,
@@ -148,9 +171,8 @@ def _run_gold(args: argparse.Namespace) -> int:
 
 
 def _run_quartic(args: argparse.Namespace) -> int:
-    if args.t is None and args.m > QUARTIC_SWEEP_MAX_M:
-        raise UsageError(f"quartic --m {args.m} sweeps every slope, which is out of reach "
-                         f"above m = {QUARTIC_SWEEP_MAX_M}; query one slope with --t")
+    if args.t is None:
+        _check_sweep_budget(args, "query one slope with --t")
     field = _field_for(args)
     m = field.m
     if args.t is not None:
@@ -198,18 +220,18 @@ def _run_sharpness(args: argparse.Namespace) -> int:
 
 
 def _run_kakeya(args: argparse.Namespace) -> int:
+    _check_sweep_budget(args, "bounds compares the bounds at any m")
     field = _field_for(args)
-    fn = _parse_function(args.f)
-    if isinstance(fn, Gold) and not 0 <= fn.i < field.m:
-        raise UsageError(f"gold index {fn.i} outside 0..{field.m - 1}")
+    if isinstance(args.f, Gold) and not 0 <= args.f.i < field.m:
+        raise UsageError(f"gold index {args.f.i} outside 0..{field.m - 1}")
     # only the check uses the points, and they pack into ints only up to PACKED_BITS
     packable = args.n * field.m <= kakeya.PACKED_BITS
     cap = kakeya.DEFAULT_MATERIALIZE_CAP if args.check and packable else 0
     try:
-        ks = kakeya.build_kakeya(field, args.n, fn, materialize_cap=cap)
+        ks = kakeya.build_kakeya(field, args.n, args.f, materialize_cap=cap)
     except kakeya.AffineMapError as exc:
         raise UsageError(str(exc))
-    rep = kakeya.bound_report(field, args.n, fn, ks.size)
+    rep = kakeya.bound_report(field, args.n, args.f, ks.size)
     verified = None
     if args.check:
         if ks.points is None:
@@ -239,8 +261,6 @@ def _run_bounds(args: argparse.Namespace) -> int:
 
 def _run_all(args: argparse.Namespace) -> int:
     m_max = args.m_max
-    if not 2 <= m_max <= 13:
-        raise UsageError("--m-max must be in 2..13")
     workers = args.parallelism
     checks = []
 
@@ -276,13 +296,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--parallelism", "-j", type=int, default=1)
+    workers.add_argument("--parallelism", "-j", type=_int_in(1), default=1)
 
-    modulus = argparse.ArgumentParser(add_help=False)
-    modulus.add_argument("--modulus", type=str, default=None,
-                         help="hex-encoded irreducible modulus override")
+    field_opts = argparse.ArgumentParser(add_help=False)
+    field_opts.add_argument("--modulus", type=_parse_hex, default=None,
+                            help="hex-encoded irreducible modulus override")
+    field_opts.add_argument("--m", type=_int_in(1, MAX_DEGREE), required=True)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kakeyagf",
         description="Kakeya sets over binary fields: constructions, exact counts, verification")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -290,71 +311,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bluher", parents=[common, workers],
                        help="no-root counts: closed form vs brute force")
     p.set_defaults(handler=_run_verify_bluher)
-    p.add_argument("--m-max", type=int, default=12)
+    p.add_argument("--m-max", type=_int_in(2, MAX_DEGREE), default=12)
 
-    p = sub.add_parser("gold", parents=[common, modulus],
+    p = sub.add_parser("gold", parents=[common, field_opts],
                        help="image-set profile of x^(2^i+1)")
     p.set_defaults(handler=_run_gold)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("quartic", parents=[common, modulus],
+    p = sub.add_parser("quartic", parents=[common, field_opts],
                        help="fiber and image statistics of x^4+x^3+tx")
     p.set_defaults(handler=_run_quartic)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=str, default=None, help="slope, hex")
+    p.add_argument("--t", type=_parse_hex, default=None, help="slope, hex")
 
-    p = sub.add_parser("sharpness", parents=[common, modulus],
+    p = sub.add_parser("sharpness", parents=[common, field_opts],
                        help="slopes attaining the image-size cap (odd m)")
     p.set_defaults(handler=_run_sharpness)
-    p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("kakeya", parents=[common, modulus],
+    p = sub.add_parser("kakeya", parents=[common, field_opts],
                        help="build a Kakeya set and compare bounds")
     p.set_defaults(handler=_run_kakeya)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f", type=str, required=True, help="gold:I or quartic")
+    p.add_argument("--n", type=_int_in(1), required=True)
+    p.add_argument("--f", type=_parse_function, required=True, help="gold:I or quartic")
     p.add_argument("--check", action="store_true",
                    help="exhaustively verify the line-in-every-direction property")
 
     p = sub.add_parser("bounds", parents=[common], help="bound comparison table")
     p.set_defaults(handler=_run_bounds)
-    p.add_argument("--m-range", type=str, required=True, help="like 3..7")
-    p.add_argument("--n-range", type=str, required=True, help="like 1..6")
+    p.add_argument("--m-range", type=_parse_range, required=True, help="like 3..7")
+    p.add_argument("--n-range", type=_parse_range, required=True, help="like 1..6")
 
     p = sub.add_parser("all", parents=[common, workers], help="full verification sweep")
     p.set_defaults(handler=_run_all)
-    p.add_argument("--m-max", type=int, default=13)
+    p.add_argument("--m-max", type=_int_in(2, 13), default=13)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _validate(args: argparse.Namespace) -> None:
-    """Check what argparse cannot, decoding the hex and range options in place."""
-    if getattr(args, "parallelism", 1) < 1:
-        raise UsageError("--parallelism must be >= 1")
-    if getattr(args, "modulus", None) is not None:
-        args.modulus = _parse_hex(args.modulus)
-    if getattr(args, "t", None) is not None:
-        args.t = _parse_hex(args.t)
-    if hasattr(args, "m_range"):
-        args.m_range = _parse_range(args.m_range)
-        args.n_range = _parse_range(args.n_range)
-        if args.m_range[0] < 1 or args.n_range[0] < 1:
-            raise UsageError("--m-range and --n-range must start at 1 or above")
-    if not 1 <= getattr(args, "m", 1) <= MAX_DEGREE:
-        raise UsageError(f"--m must be in 1..{MAX_DEGREE}")
-    if getattr(args, "n", 1) < 1:
-        raise UsageError("--n must be >= 1")
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        _validate(args)
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .field import Field, make_field
+from .field import Field, exact_div, make_field
 from .fiber import Gold, image_sizes_all
 from .parallel import parallel_map
 
@@ -39,12 +38,6 @@ class GoldImageProfile:
     size_at_nonzero: int
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {x}")
-    return int(x)
-
-
 def gold_profile(m: int, i: int) -> GoldImageProfile:
     """Exact |I(0)| and |I(t != 0)| for x -> x^(2^i+1) on GF(2^m)."""
     if not 1 <= i < m:
@@ -54,18 +47,15 @@ def gold_profile(m: int, i: int) -> GoldImageProfile:
     block = (1 << d) + 1
     if (m // d) % 2 == 0:
         gcd_expected = block
-        size_zero = 1 + _as_int(Fraction(q - 1, block))
-        size_nonzero = _as_int(Fraction(q + 1, 2) + Fraction(q - 1, 2 * block))
+        size_nonzero = exact_div((q + 1) * block + q - 1, 2 * block)
         parity = "even"
     else:
         gcd_expected = 1
-        size_zero = q
-        size_nonzero = _as_int(Fraction(q - 1, 2) + Fraction(q + 1, 2 * block))
+        size_nonzero = exact_div((q - 1) * block + q + 1, 2 * block)
         parity = "odd"
     if math.gcd(q - 1, (1 << i) + 1) != gcd_expected:
         raise ArithmeticError(f"gcd(2^{m}-1, 2^{i}+1) dichotomy failed")
-    if size_zero != 1 + (q - 1) // gcd_expected:
-        raise ArithmeticError("t = 0 size disagrees with the gcd form")
+    size_zero = 1 + exact_div(q - 1, gcd_expected)
     return GoldImageProfile(m=m, i=i, d=d, parity_case=parity,
                             size_at_zero=size_zero, size_at_nonzero=size_nonzero)
 
@@ -137,11 +127,15 @@ def image_profile_sweep(m_max: int, workers: int = 1) -> list[dict]:
 
 
 def half_gold_case(m: int) -> dict:
+    """The halfway structure by enumeration, the sizes by the closed form.
+
+    The sizes' brute-force check is the i = m/2 row of `image_profile_sweep`.
+    """
     field = make_field(m)
     s = 1 << (m // 2)
     st = verify_half_gold_structure(field)
-    sizes = image_sizes_all(field, Gold(m // 2))
-    sizes_ok = int(sizes[0]) == s and bool(np.all(sizes[1:] == (field.q + s) // 2))
+    prof = gold_profile(m, m // 2)
+    sizes_ok = prof.size_at_zero == s and prof.size_at_nonzero == (field.q + s) // 2
     return {"m": m, "structure_ok": st.ok, "sizes_ok": sizes_ok,
             "size_at_one": st.image_size_at_one, "ok": st.ok and sizes_ok}
 

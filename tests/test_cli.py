@@ -193,10 +193,33 @@ def test_all_reduced_and_repeatable():
     ["kakeya", "--m", "3", "--n", "2", "--f", "gold:5"],
     ["quartic", "--m", "19"],                              # full sweep refused; --t is allowed
     ["sharpness", "--m", "21"],                            # beyond MAX_DEGREE
+    ["kakeya", "--m", "19", "--n", "2", "--f", "quartic"],  # sweeps every slope
+    ["gold", "--m", "19", "--i", "3", "--verify"],         # same; without --verify it runs
 ])
 def test_bad_input_is_usage_error(args, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a rule on one option is checked by argparse, and its message names the option
+@pytest.mark.parametrize("option, args", [
+    ("--m", ["gold", "--m", "21", "--i", "1"]),
+    ("--t", ["quartic", "--m", "3", "--t", "zz"]),
+    ("--parallelism/-j", ["all", "-j", "0"]),
+    ("--m-max", ["all", "--m-max", "14"]),
+    ("--n", ["kakeya", "--m", "3", "--n", "0", "--f", "quartic"]),
+    ("--f", ["kakeya", "--m", "3", "--n", "2", "--f", "cubic"]),
+    ("--m-range", ["bounds", "--m-range", "3..1", "--n-range", "1..2"]),
+])
+def test_single_option_rule_names_option(option, args, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: argument {option}")
+
+
+def test_help_exits_zero():
+    r = run_cli("gold", "--help")
+    assert r.returncode == 0
+    assert "--verify" in r.stdout and r.stderr == ""
 
 
 def test_library_fault_is_not_usage_error(monkeypatch):

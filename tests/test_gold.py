@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from kakeyagf import gold
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Gold, image_sizes_all
 from kakeyagf.gold import (gold_profile, half_gold_sweep, image_profile_sweep, profile_case,
@@ -84,3 +85,19 @@ def test_nonzero_size_matches_bluher_complement():
     for m in range(2, 13):
         for i in range(1, m):
             assert gold_profile(m, i).size_at_nonzero == (1 << m) - bluher_formula(m, i)
+
+
+def test_half_gold_sweep_makes_no_image_sweep(monkeypatch):
+    # the every-t sizes of Gold(m/2) are checked by brute force in image_profile_sweep
+    swept = []
+    image_sizes_all = gold.image_sizes_all
+
+    def recording(field, fn):
+        swept.append((field.m, fn))
+        return image_sizes_all(field, fn)
+
+    monkeypatch.setattr(gold, "image_sizes_all", recording)
+    rows = half_gold_sweep(m_max=8)
+    assert [r["m"] for r in rows] == [2, 4, 6, 8]
+    assert all(r["sizes_ok"] and r["ok"] for r in rows)
+    assert swept == []
