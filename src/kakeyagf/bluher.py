@@ -7,7 +7,7 @@ m/d is odd. `bluher_formula` evaluates that in exact integer arithmetic;
 `bluher_bruteforce` counts from the definition solved for b: x = 0 is a
 root only for b = 0, x = 1 never is, and any other x is a root exactly for
 b = x^(2^i+1)/(x + 1), so the b != 0 with a root are the image of that map
-and one O(q) pass over x finds them all.
+and one O(q) pass over the discrete logs of x and x + 1 finds them all.
 The two routes are independent and must agree on every (m, i).
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Field, exact_div, make_field
-from .parallel import parallel_map
+from .parallel import run_cases
 
 
 @dataclass
@@ -47,17 +47,19 @@ def bluher_bruteforce(field: Field, i: int) -> int:
 
     x = 0 gives b = 0 and x = 1 gives 1 + b + b = 1, so neither is a root for
     b != 0. For every other x, x^(2^i+1) = b*(x + 1) has the one solution
-    b = x^(2^i+1)/(x + 1); marking those b in a q-slot bitmap leaves the b
-    without a root unmarked.
+    b = x^(2^i+1)/(x + 1), whose discrete log is
+    (2^i+1)*log x - log(x + 1) mod q - 1. log is a bijection of the units, so
+    marking those logs in a (q-1)-slot bitmap leaves the b without a root
+    unmarked.
     """
     if not 0 <= i < field.m:
         raise ValueError(f"need 0 <= i < m, got i={i}, m={field.m}")
-    q = field.q
-    x = np.arange(2, q, dtype=np.int64)
-    b = field.mul_arrays(field.pow_all((1 << i) + 1)[x], field.pow_all(q - 2)[x ^ 1])
-    has_root = np.zeros(q, dtype=bool)
-    has_root[b] = True
-    return q - 1 - int(np.count_nonzero(has_root))
+    units = field.q - 1
+    log = field.log_table()
+    x = np.arange(2, field.q, dtype=np.int64)
+    has_root = np.zeros(units, dtype=bool)
+    has_root[(((1 << i) + 1) * log[x] - log[x ^ 1]) % units] = True
+    return units - int(np.count_nonzero(has_root))
 
 
 def agreement_case(m: int, i: int) -> BluherCount:
@@ -67,11 +69,11 @@ def agreement_case(m: int, i: int) -> BluherCount:
                        n0_bruteforce=brute, agree=formula == brute)
 
 
-def _agreement_case(args) -> BluherCount:
-    return agreement_case(*args)
+def agreement_cases(m_max: int) -> list[tuple]:
+    """One O(q) case for every 2 <= m <= m_max and 0 <= i < m."""
+    return [(1 << m, agreement_case, (m, i)) for m in range(2, m_max + 1) for i in range(m)]
 
 
 def agreement_sweep(m_max: int, workers: int = 1) -> list[BluherCount]:
     """Formula vs brute force for every 2 <= m <= m_max and 0 <= i < m."""
-    cases = [(m, i) for m in range(2, m_max + 1) for i in range(m)]
-    return parallel_map(_agreement_case, cases, workers)
+    return run_cases(agreement_cases(m_max), workers)

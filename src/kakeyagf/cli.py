@@ -2,11 +2,12 @@
 
 Pure orchestration; all mathematics lives in the library modules. Output
 is deterministic for a fixed configuration and seed regardless of the
-worker count: work items are mapped in a fixed order and every collection
-is emitted sorted. JSON is the machine format of record; csv and text are
-renderings of the same report object. Every verb takes `--format`; only
-`all` and `verify-bluher` take `-j`, and only `all`, which samples, takes
-`--seed`.
+worker count: with more than one worker, `all` runs the cases of all its
+sweeps through one pool, costliest first, and reassembles each check's
+rows in a fixed order, and every collection is emitted sorted. JSON is
+the machine format of record; csv and text are renderings of the same
+report object. Every verb takes `--format`; only `all` and `verify-bluher`
+take `-j`, and only `all`, which samples, takes `--seed`.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. argparse checks each option on its own through its `type=`; a verb
@@ -20,12 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
 from . import bluher, gold, kakeya, quartic
 from .field import MAX_DEGREE, make_field
 from .fiber import Gold, Quartic, fiber_distribution
+from .parallel import run_cases
 
 USAGE_ERROR = 2
 # a brute-force sweep of every slope's image is O(q^2), about 4x per degree:
@@ -259,27 +262,42 @@ def _run_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stage_rows(m_max: int, seed: int, workers: int) -> list[tuple[str, list]]:
+    """Each check of `all` with its rows, in report order.
+
+    One worker calls the seven sweeps in turn, so that each stage's time
+    can be traced through its sweep. More run the cases of all seven
+    through one pool, costliest first, and hand each stage its rows back
+    in case order.
+    """
+    swept = [
+        ("bluher-agreement", bluher.agreement_sweep, bluher.agreement_cases, (min(12, m_max),)),
+        ("gold-image-profile", gold.image_profile_sweep, gold.profile_cases, (m_max,)),
+        ("half-gold-structure", gold.half_gold_sweep, gold.half_gold_cases, (m_max,)),
+        ("quartic-fiber-formulas", quartic.fiber_formula_sweep, quartic.fiber_formula_cases,
+         (m_max,)),
+        ("quartic-image-exact", quartic.image_exact_sweep, quartic.image_exact_cases,
+         (m_max, seed)),
+        ("quartic-floor-sharpness", quartic.sharpness_sweep, quartic.sharpness_cases, (m_max,)),
+        ("kakeya-construction", kakeya.construction_sweep, kakeya.construction_cases, (m_max,)),
+    ]
+    if workers == 1:
+        rows = [sweep(*a) for _, sweep, _, a in swept]
+    else:
+        case_lists = [cases(*a) for _, _, cases, a in swept]
+        results = iter(run_cases([c for cl in case_lists for c in cl], workers))
+        rows = [list(itertools.islice(results, len(cl))) for cl in case_lists]
+    return [(name, r) for (name, *_), r in zip(swept, rows)] + [
+        ("bound-dominance", kakeya.bound_dominance_rows()),
+        ("floor-bound-integer-path", quartic.floor_bound_consistency())]
+
+
 def _run_all(args: argparse.Namespace) -> int:
     m_max = args.m_max
-    workers = args.parallelism
     checks = []
-
-    def add(name, rows):
-        ok = all(r["ok"] for r in rows)
+    for name, rows in _stage_rows(m_max, args.seed, args.parallelism):
+        ok = all(r.agree if isinstance(r, bluher.BluherCount) else r["ok"] for r in rows)
         checks.append({"name": name, "ok": ok, "cases": len(rows)})
-        return ok
-
-    add("bluher-agreement",
-        [{"ok": r.agree} for r in bluher.agreement_sweep(min(12, m_max), workers)])
-    add("gold-image-profile", gold.image_profile_sweep(m_max, workers))
-    add("half-gold-structure", gold.half_gold_sweep(m_max, workers))
-    add("quartic-fiber-formulas", quartic.fiber_formula_sweep(m_max, workers))
-    add("quartic-image-exact", quartic.image_exact_sweep(m_max, args.seed, workers))
-    add("quartic-floor-sharpness", quartic.sharpness_sweep(m_max, workers))
-    add("kakeya-construction", kakeya.construction_sweep(m_max, workers))
-    add("bound-dominance", kakeya.bound_dominance_rows())
-    add("floor-bound-integer-path", quartic.floor_bound_consistency())
-
     ok = all(c["ok"] for c in checks)
     payload = {"m_max": m_max, "seed": args.seed, "checks": checks, "ok": ok}
     if args.format == "text":

@@ -23,7 +23,8 @@ sweep in the other modules: it yields p(x) + t*x over all x for each slope
 t, walking x in discrete-log order so that t*x is a contiguous slice of
 the antilog table. This module is the only one that knows that order.
 Fields are immutable after construction apart from the idempotent table
-caches, so instances are safe to share across workers.
+caches, so instances are safe to share across workers. A field pickles as
+its degree and modulus, and a worker builds its tables itself.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class Field:
     def __init__(self, m: int, modulus: int | None = None):
         if not isinstance(m, int) or not 1 <= m <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
+        self._canonical = modulus is None
         if modulus is None:
             modulus = smallest_irreducible(m)
         else:
@@ -113,6 +115,11 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:x})"
+
+    def __reduce__(self):
+        # a worker rebuilds the tables rather than unpickle a copy with every
+        # case, and a canonical field is its own cached instance, built once
+        return make_field, (self.m, None if self._canonical else self.modulus)
 
     def elements(self) -> range:
         return range(self.q)
@@ -214,6 +221,10 @@ class Field:
         out = np.zeros(q, dtype=np.int64)
         out[1:] = exp[(log[1:] * e) % (q - 1)]
         return out
+
+    def log_table(self) -> np.ndarray:
+        """Discrete log of every unit to the table generator; entry 0 is a sentinel."""
+        return self._tables()[2]
 
     def trace_table(self) -> np.ndarray:
         """trace_abs of every element, cached.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .field import Field, exact_div, make_field
 from .fiber import Gold, image_sizes_all
-from .parallel import parallel_map
+from .parallel import run_cases
 
 
 @dataclass
@@ -116,14 +116,14 @@ def profile_case(field: Field, i: int) -> dict:
             "scale_invariant": bool(np.all(sizes[1:] == sizes[1])), "ok": ok}
 
 
-def _profile_case(args) -> dict:
-    m, i = args
-    return profile_case(make_field(m), i)
+def profile_cases(m_max: int) -> list[tuple]:
+    """One O(q^2) brute-force case for every 2 <= m <= min(12, m_max) and 1 <= i < m."""
+    return [((1 << m) ** 2, profile_case, (make_field(m), i))
+            for m in range(2, min(12, m_max) + 1) for i in range(1, m)]
 
 
-def image_profile_sweep(m_max: int, workers: int = 1) -> list[dict]:
-    cases = [(m, i) for m in range(2, min(12, m_max) + 1) for i in range(1, m)]
-    return parallel_map(_profile_case, cases, workers)
+def image_profile_sweep(m_max: int) -> list[dict]:
+    return run_cases(profile_cases(m_max))
 
 
 def half_gold_case(m: int) -> dict:
@@ -140,5 +140,10 @@ def half_gold_case(m: int) -> dict:
             "size_at_one": st.image_size_at_one, "ok": st.ok and sizes_ok}
 
 
-def half_gold_sweep(m_max: int, workers: int = 1) -> list[dict]:
-    return parallel_map(half_gold_case, list(range(2, min(12, m_max) + 1, 2)), workers)
+def half_gold_cases(m_max: int) -> list[tuple]:
+    """One O(q) case for every even m <= min(12, m_max)."""
+    return [(1 << m, half_gold_case, (m,)) for m in range(2, min(12, m_max) + 1, 2)]
+
+
+def half_gold_sweep(m_max: int) -> list[dict]:
+    return run_cases(half_gold_cases(m_max))

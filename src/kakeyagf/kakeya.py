@@ -39,7 +39,7 @@ import numpy as np
 from .field import Field, make_field
 from .fiber import (FunctionSpec, Gold, Quartic, function_label, image_sizes_all,
                     image_values, values_all)
-from .parallel import parallel_map
+from .parallel import run_cases
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 PACKED_BITS = 62  # packed points are int64
@@ -229,13 +229,14 @@ def construction_case(m: int, n: int) -> dict:
             "bound_klss": rep.klss_bound, "ok": ok}
 
 
-def _construction_case(args) -> dict:
-    return construction_case(*args)
+def construction_cases(m_max: int) -> list[tuple]:
+    """One case of cost q^n for every 2 <= m <= min(4, m_max) and n in {2, 3}."""
+    return [((1 << m) ** n, construction_case, (m, n))
+            for m in range(2, min(4, m_max) + 1) for n in (2, 3)]
 
 
-def construction_sweep(m_max: int, workers: int = 1) -> list[dict]:
-    cases = [(m, n) for m in range(2, min(4, m_max) + 1) for n in (2, 3)]
-    return parallel_map(_construction_case, cases, workers)
+def construction_sweep(m_max: int) -> list[dict]:
+    return run_cases(construction_cases(m_max))
 
 
 def bound_dominance_rows() -> list[dict]:

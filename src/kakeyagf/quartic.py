@@ -38,7 +38,7 @@ import numpy as np
 from .field import Field, exact_div, make_field
 from .fiber import (FiberDistribution, Quartic, fiber_distribution, image_sizes_all,
                     image_values, values_all)
-from .parallel import parallel_map
+from .parallel import run_cases
 
 
 def omega1_formula(m: int, tr_t: int) -> int:
@@ -215,12 +215,14 @@ def fiber_formula_case(field: Field) -> dict:
     return {"m": m, "ok": not bad, "bad_t": bad[:8]}
 
 
-def _fiber_formula_case(m: int) -> dict:
-    return fiber_formula_case(make_field(m))
+def fiber_formula_cases(m_max: int) -> list[tuple]:
+    """One O(q^2) brute-force case for every m <= min(13, m_max)."""
+    return [((1 << m) ** 2, fiber_formula_case, (make_field(m),))
+            for m in range(1, min(13, m_max) + 1)]
 
 
-def fiber_formula_sweep(m_max: int, workers: int = 1) -> list[dict]:
-    return parallel_map(_fiber_formula_case, list(range(1, min(13, m_max) + 1)), workers)
+def fiber_formula_sweep(m_max: int) -> list[dict]:
+    return run_cases(fiber_formula_cases(m_max))
 
 
 def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> dict:
@@ -246,16 +248,17 @@ def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> di
             "brute_checked": checked, "ok": hasse_ok and match_ok}
 
 
-def _image_exact_case(args) -> dict:
-    m, spot, seed = args
-    return image_exact_case(make_field(m), spot, seed)
-
-
-def image_exact_sweep(m_max: int, seed: int, workers: int = 1) -> list[dict]:
-    cases = [(m, None, seed) for m in range(3, min(11, m_max) + 1, 2)]
+def image_exact_cases(m_max: int, seed: int) -> list[tuple]:
+    """Every slope by brute force, O(q^2), at odd m <= min(11, m_max); 100 at m = 13."""
+    cases = [((1 << m) ** 2, image_exact_case, (make_field(m), None, seed))
+             for m in range(3, min(11, m_max) + 1, 2)]
     if m_max >= 13:
-        cases.append((13, 100, seed))
-    return parallel_map(_image_exact_case, cases, workers)
+        cases.append((100 << 13, image_exact_case, (make_field(13), 100, seed)))
+    return cases
+
+
+def image_exact_sweep(m_max: int, seed: int) -> list[dict]:
+    return run_cases(image_exact_cases(m_max, seed))
 
 
 def sharpness_case(m: int) -> dict:
@@ -264,8 +267,13 @@ def sharpness_case(m: int) -> dict:
             "witnesses": r.witnesses[:4], "ok": r.sharp}
 
 
-def sharpness_sweep(m_max: int, workers: int = 1) -> list[dict]:
-    return parallel_map(sharpness_case, list(range(1, min(13, m_max) + 1, 2)), workers)
+def sharpness_cases(m_max: int) -> list[tuple]:
+    """One O(q*m) transform for every odd m <= min(13, m_max)."""
+    return [((1 << m) * m, sharpness_case, (m,)) for m in range(1, min(13, m_max) + 1, 2)]
+
+
+def sharpness_sweep(m_max: int) -> list[dict]:
+    return run_cases(sharpness_cases(m_max))
 
 
 def floor_bound_consistency() -> list[dict]:

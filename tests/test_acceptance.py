@@ -117,14 +117,14 @@ def test_floor_bound_integer_path():
 
 def test_deterministic_reports_across_workers():
     # the full sweep, fixed config and seed: byte-identical output twice at
-    # one worker and twice at eight
+    # one worker, once at two and twice at eight
     cmd = [sys.executable, "-m", "kakeyagf.cli", "all", "--m-max", "5",
            "--seed", "0", "--format", "json"]
     outputs = []
-    for workers in ("1", "1", "8", "8"):
+    for workers in ("1", "1", "2", "8", "8"):
         r = subprocess.run(cmd + ["-j", workers], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         outputs.append(r.stdout)
-    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3] == outputs[4]
     assert json.loads(outputs[0])["ok"] is True
-    print("PASS deterministic-reports (4 runs compared)")
+    print("PASS deterministic-reports (5 runs compared)")
