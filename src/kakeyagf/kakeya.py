@@ -23,9 +23,11 @@ point set can be slightly smaller; both numbers are recorded, and bound
 comparisons use the block total, which only overstates the distinct count.
 
 Points are packed into single ints, coordinate k in bits k*m..k*m+m-1, so
-translating a point along a direction is one XOR. The verifier names each
-line by its point with the direction's lead coordinate cleared and counts
-the points of K per line: a direction is covered iff some count is q.
+translating a point along a direction is one XOR. The verifier takes all
+directions of one lead coordinate at once: every line in such a direction
+crosses K's smallest slice along that coordinate, so it starts from the
+(direction, slice point) pairs and keeps those whose next point along the
+direction is in K, one scalar at a time. It never looks at f.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .parallel import run_cases
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 PACKED_BITS = 62  # packed points are int64
+PAIR_BLOCK = 1 << 16  # (direction, anchor) pairs the verifier filters at once
 
 
 def kakeya_size_from_images(image_sizes, n: int) -> int:
@@ -118,7 +121,15 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
     enumerated = sum(b.size for b in blocks)
     if enumerated != size:
         raise ArithmeticError("block enumeration disagrees with the closed-form total")
-    return KakeyaSet(field, n, fn, image_sizes, size, np.unique(np.concatenate(blocks)))
+    return KakeyaSet(field, n, fn, image_sizes, size, _sorted_distinct(np.concatenate(blocks)))
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique for a 1-d array, without the numpy.ma import np.unique makes."""
+    s = np.sort(a)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def canonical_directions(q: int, n: int) -> list[tuple[int, ...]]:
@@ -135,29 +146,64 @@ class VerificationResult:
     missing: list[tuple[int, ...]]
 
 
+def _bitmap_fits(universe: int, count: int) -> bool:
+    """Is a bool bitmap over `universe` packed points no bigger than `count` int64s?"""
+    return universe <= 8 * count
+
+
+def _membership(pts: np.ndarray, universe: int):
+    """A test `member(cand) -> bool array` for the sorted points: a bitmap
+    where `_bitmap_fits`, a binary search otherwise."""
+    if _bitmap_fits(universe, pts.size):
+        bitmap = np.zeros(universe, dtype=bool)
+        bitmap[pts] = True
+        return lambda cand: bitmap[cand]
+    last = max(pts.size - 1, 0)
+    return lambda cand: pts[np.minimum(np.searchsorted(pts, cand), last)] == cand
+
+
 def verify_kakeya(ks: KakeyaSet) -> VerificationResult:
     """Exhaustively decide, for every direction, whether a full line lies in K.
 
-    For a direction d with lead index L (d_L = 1), p -> p + p_L*d sends each
-    point to its line's point with coordinate L zero. With duplicates gone,
-    the line lies in K iff that representative occurs q times: q equal
-    representatives in a row once sorted. Every direction costs one sort.
+    Take the directions of one lead index L (d_L = 1) together. Each line
+    in such a direction meets the slice K_c = {p in K : p_L = c} exactly
+    once, for any fixed c, so the full lines in direction d are those
+    through an anchor a in K_c with a + u*d in K for every u != 0. The
+    anchors come from K's smallest slice along L, and the (direction,
+    anchor) pairs are filtered one scalar u at a time, in blocks of at
+    most PAIR_BLOCK pairs; a block holds at least one direction with all
+    its anchors, so a slice above PAIR_BLOCK points makes a larger block.
     """
     if ks.points is None:
         raise ValueError("verification needs materialized points")
     field = ks.field
-    q, m = field.q, field.m
-    pts = np.unique(ks.points)
+    q, m, n = field.q, field.m, ks.n
+    pts = np.sort(ks.points)
+    member = _membership(pts, q ** n)
     scalars = np.arange(q, dtype=np.int64)
     missing = []
-    for d in canonical_directions(q, ks.n):
-        lead = d.index(1)
-        step = np.zeros(q, dtype=np.int64)  # packed s*d for every scalar s
-        for k, c in enumerate(d):
-            step |= field.mul_arrays(scalars, c) << (k * m)
-        reps = np.sort(pts ^ step[(pts >> (lead * m)) & (q - 1)])
-        if not np.any(reps[q - 1:] == reps[:1 - q]):
-            missing.append(d)
+    for lead in range(n):
+        free = n - 1 - lead
+        coord = (pts >> (lead * m)) & (q - 1)
+        anchors = pts[coord == np.argmin(np.bincount(coord, minlength=q))]
+        ndirs = q ** free
+        per_block = max(1, PAIR_BLOCK // max(anchors.size, q))
+        for start in range(0, ndirs, per_block):
+            idx = np.arange(start, min(start + per_block, ndirs), dtype=np.int64)
+            rest = (idx[:, None] // q ** np.arange(free)) % q
+            step = np.tile((scalars << (lead * m))[:, None], idx.size)
+            for j in range(free):  # step[u, i] = packed u*d for the block's i-th direction
+                step |= field.mul_arrays(scalars[:, None], rest[:, j]) << ((lead + 1 + j) * m)
+            hit = np.flatnonzero(member(step[1][:, None] ^ anchors))
+            dirs, base = hit // anchors.size, anchors[hit % anchors.size]
+            for u in range(2, q):
+                keep = member(base ^ step[u, dirs])
+                dirs, base = dirs[keep], base[keep]
+                if not dirs.size:
+                    break
+            covered = np.zeros(idx.size, dtype=bool)
+            covered[dirs] = True
+            missing.extend((0,) * lead + (1,) + tuple(r) for r in rest[~covered].tolist())
     return VerificationResult(ok=not missing, missing=sorted(missing))
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops,
-and the tests' own views of library objects (packed points, fiber sums).
+a Kakeya verifier that sorts the whole set once per direction, and the
+tests' own views of library objects (packed points, fiber sums).
 Nothing imports the library's vectorized paths, except two helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
 sparse sum of monomials to the library's affinity gate, and
@@ -186,3 +187,27 @@ def naive_has_line(field, pts: set[tuple[int, ...]], d: tuple[int, ...]) -> bool
         if line_in:
             return True
     return False
+
+
+def sort_verify_missing(field, n: int, points: np.ndarray) -> list[tuple[int, ...]]:
+    """The directions with no full line in the packed points, one sort per direction.
+
+    For a direction d with lead index L (d_L = 1), p -> p + p_L*d sends each
+    point to its line's point with coordinate L zero. With duplicates gone,
+    the line lies in the set iff that representative occurs q times: q
+    equal representatives in a row once sorted.
+    """
+    q, m = field.q, field.m
+    pts = np.array(sorted(set(points.tolist())), dtype=np.int64)
+    scalars = np.arange(q, dtype=np.int64)
+    missing = []
+    for lead in range(n):
+        for rest in product(range(q), repeat=n - 1 - lead):
+            d = (0,) * lead + (1,) + rest
+            step = np.zeros(q, dtype=np.int64)  # packed s*d for every scalar s
+            for k, c in enumerate(d):
+                step |= np.array([field.mul(s, c) for s in range(q)], dtype=np.int64) << (k * m)
+            reps = np.sort(pts ^ step[(pts >> (lead * m)) & (q - 1)])
+            if not np.any(reps[q - 1:] == reps[:1 - q]):
+                missing.append(d)
+    return sorted(missing)

@@ -29,6 +29,17 @@ def test_kakeya_verb_json():
                        "kakeya_verified": True}
 
 
+@pytest.mark.parametrize("args", [["all", "--m-max", "4"],
+                                  ["kakeya", "--m", "2", "--n", "2", "--f", "gold:1", "--check"]])
+def test_cli_leaves_numpy_ma_unimported(args):
+    # np.unique imports numpy.ma on its first call, tens of ms of a short run
+    probe = ("import sys; from kakeyagf.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules); sys.exit(code)")
+    r = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_kakeya_rejects_linear_map():
     r = run_cli("kakeya", "--m", "3", "--n", "2", "--f", "gold:0")
     assert r.returncode == 2

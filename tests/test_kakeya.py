@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kakeyagf import kakeya
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Gold, Quartic, image_values, values_all
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
@@ -15,7 +16,7 @@ from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bo
 
 from helpers_naive import (SparseExponentSum, evaluate, naive_has_line, naive_image,
                            naive_irreducibles, naive_kakeya_points, pack_point,
-                           sparse_values, unpack_point)
+                           sort_verify_missing, sparse_values, unpack_point)
 
 
 def _values(field, fn):
@@ -272,9 +273,87 @@ def test_build_matches_naive_second_modulus(m, n):
     assert ks.size == sum(len(v) ** j for v in images.values() for j in range(n))
 
 
-@pytest.mark.parametrize("m,n", [(5, 3), (4, 4)])
+@pytest.mark.parametrize("m,n", [(5, 3), (4, 4), (6, 3)])
 def test_larger_constructions_verify(m, n):
-    # q = 32, n = 3 and q = 16, n = 4: out of the verification sweep's ranges
+    # q = 32, n = 3, q = 16, n = 4 and q = 64, n = 3: out of the verification sweep's ranges
     row = construction_case(m, n)
     assert row["ok"] and row["kakeya_verified"]
     assert row["distinct_points"] <= row["size"]
+
+
+def _variants(ks, rng):
+    """The built set, and subsets of it that miss some or many directions."""
+    q, m, n = ks.field.q, ks.field.m, ks.n
+    pts = ks.points
+    last = (pts >> ((n - 1) * m)) & (q - 1)
+    return {"built": pts,
+            "drop_one": np.delete(pts, rng.integers(pts.size)),
+            "drop_plane": pts[last != rng.integers(q)],
+            "random": pts[rng.random(pts.size) < 0.8]}
+
+
+@pytest.mark.parametrize("m,n,modulus",
+                         [(m, n, p) for m in (2, 3, 4) for n in (1, 2, 3) for p in _moduli(m)]
+                         + [(2, 4, p) for p in _moduli(2)])
+def test_verify_matches_sort_reference(m, n, modulus):
+    field = make_field(m, modulus)
+    ks = build_kakeya(field, n, _parity_map(m))
+    for name, points in _variants(ks, np.random.default_rng([m, n, modulus])).items():
+        res = verify_kakeya(dataclasses.replace(ks, points=points))
+        missing = sort_verify_missing(field, n, points)
+        assert (res.ok, res.missing) == (not missing, missing), name
+
+
+def _line(field, n, base, d):
+    return np.array([pack_point([b ^ field.mul(u, c) for b, c in zip(base, d)], field.m)
+                     for u in field.elements()], dtype=np.int64)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 3), (2, 4)])
+def test_verify_edge_sets(m, n):
+    field = make_field(m)
+    q = field.q
+    every = sorted(canonical_directions(q, n))
+    empty = np.zeros(0, dtype=np.int64)
+    d = every[-1]
+    line = _line(field, n, [1] * n, d)
+    cases = [(empty, every), (np.arange(q ** n, dtype=np.int64), []),
+             (line, [e for e in every if e != d])]
+    for points, missing in cases:
+        res = verify_kakeya(KakeyaSet(field=field, n=n, fn=Gold(1), image_sizes={},
+                                      size=points.size, points=points))
+        assert (res.ok, res.missing) == (not missing, missing)
+        assert res.missing == sort_verify_missing(field, n, points)
+
+
+def test_membership_routes(monkeypatch):
+    field = make_field(2)
+    full = np.arange(4 ** 4, dtype=np.int64)
+    line = _line(field, 4, [3, 0, 1, 2], (0, 1, 2, 3))
+    assert kakeya._bitmap_fits(full.size, full.size)
+    assert not kakeya._bitmap_fits(4 ** 4, line.size)
+    assert kakeya._bitmap_fits(800, 100) and not kakeya._bitmap_fits(801, 100)
+    ks = build_kakeya(field, 3, Gold(1))
+    sets = [(4, full), (4, line)] + [(3, p) for p in _variants(ks, np.random.default_rng(0)).values()]
+    expected = [verify_kakeya(dataclasses.replace(ks, n=n, points=p)) for n, p in sets]
+    assert expected[0].ok and len(expected[1].missing) == len(canonical_directions(4, 4)) - 1
+    for forced in (True, False):
+        monkeypatch.setattr(kakeya, "_bitmap_fits", lambda universe, count: forced)
+        for (n, p), want in zip(sets, expected):
+            assert verify_kakeya(dataclasses.replace(ks, n=n, points=p)) == want
+
+
+@pytest.mark.parametrize("pair_block", [1, 16, 40, 700])
+def test_verify_pair_block_sizes(monkeypatch, pair_block):
+    # 1 and 16 give one direction per block, 16 being below the anchor
+    # slices of the q = 16 sets (45 points or more where not empty); 40 and
+    # 700 put several directions in a block, but not all of a lead's
+    sets = []
+    for m, n in [(3, 3), (4, 3), (2, 4)]:
+        ks = build_kakeya(make_field(m), n, _parity_map(m))
+        sets += [dataclasses.replace(ks, points=p)
+                 for p in _variants(ks, np.random.default_rng([m, n])).values()]
+    expected = [verify_kakeya(ks) for ks in sets]
+    assert any(not r.ok for r in expected)
+    monkeypatch.setattr(kakeya, "PAIR_BLOCK", pair_block)
+    assert [verify_kakeya(ks) for ks in sets] == expected
