@@ -11,9 +11,10 @@ take `-j`, and only `all`, which samples, takes `--seed`.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. argparse checks each option on its own through its `type=`; a verb
-checks only the rules between its inputs and the sweep budget. So exit 2
-means bad input and nothing else; an exception raised inside the library
-is a fault and propagates.
+checks only the rules between its inputs and the sweep budget, and
+`bounds` refuses the ranges whose bounds overflow a float. So exit 2
+means bad input and nothing else; any other exception raised inside the
+library is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -255,7 +256,13 @@ def _run_bounds(args: argparse.Namespace) -> int:
     for m in range(args.m_range[0], args.m_range[1] + 1):
         q = 1 << m
         for n in range(args.n_range[0], args.n_range[1] + 1):
-            new, old = kakeya.bound_eval(q, n)
+            try:
+                new, old = kakeya.bound_eval(q, n)
+            except OverflowError:
+                raise UsageError(
+                    f"--m-range {args.m_range[0]}..{args.m_range[1]} with --n-range "
+                    f"{args.n_range[0]}..{args.n_range[1]} reaches q = 2^{m}, n = {n}, "
+                    f"whose bounds are past the float range")
             rows.append({"q": q, "n": n, "bound_new": new, "bound_klss": old,
                          "new_below_klss": new < old})
     _emit({"rows": rows}, rows, args.format)

@@ -3,9 +3,12 @@
 For a map f and slope t, the image set I_f(t) = {f(x) + t*x : x in F_q}
 and the fiber histogram omega_t(k) = #{y : exactly k preimages} are the
 raw material every closed-form count in this package is checked against.
-The values f(x) + t*x come from `Field.slope_sweep`; per slope they are
+Each map is a sum of powers of x, and `exponents` names them once. The
+values f(x) + t*x come from `Field.slope_sweep` on the map that
+`Field.power_sum` builds in the kernel's order; per slope they are
 reduced to a q-slot bitmap or count array, so a sweep over all t costs
-O(q^2) time and O(q) space.
+O(q^2) time and O(q) space, and a single slope O(q). `values_all` gives f
+in encoding order, for the callers that index it by x.
 """
 
 from __future__ import annotations
@@ -36,13 +39,26 @@ def function_label(fn: FunctionSpec) -> str:
     return f"gold:{fn.i}" if isinstance(fn, Gold) else "quartic"
 
 
-def values_all(field: Field, fn: FunctionSpec) -> np.ndarray:
-    """f(x) for every x in encoding order."""
+def exponents(field: Field, fn: FunctionSpec) -> tuple[int, ...]:
+    """The exponents whose powers sum to f: (4, 3) or (2^i + 1,)."""
     if isinstance(fn, Quartic):
-        return field.pow_all(4) ^ field.pow_all(3)
+        return 4, 3
     if not 0 <= fn.i < field.m:
         raise ValueError(f"gold index {fn.i} outside 0..{field.m - 1}")
-    return field.pow_all((1 << fn.i) + 1)
+    return (1 << fn.i) + 1,
+
+
+def values_all(field: Field, fn: FunctionSpec) -> np.ndarray:
+    """f(x) for every x in encoding order."""
+    out = np.zeros(field.q, dtype=np.int64)
+    for e in exponents(field, fn):
+        out ^= field.pow_all(e)
+    return out
+
+
+def slope_values(field: Field, fn: FunctionSpec, ts):
+    """`Field.slope_sweep` of f, whose map is built in the kernel's order."""
+    return field.slope_sweep(field.power_sum(exponents(field, fn)), ts)
 
 
 @dataclass
@@ -62,15 +78,15 @@ class FiberDistribution:
 
 def _g_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
     """f(x) + t*x for every x, in the kernel's order."""
-    (_, vals), = field.slope_sweep(values_all(field, fn), [t])
+    (_, vals), = slope_values(field, fn, [t])
     return vals
 
 
-def image_values(field: Field, fn: FunctionSpec, t: int) -> list[int]:
-    """Sorted values of x -> f(x) + t*x."""
+def image_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
+    """Sorted values of x -> f(x) + t*x, as an int64 array."""
     seen = np.zeros(field.q, dtype=bool)
     seen[_g_values(field, fn, t)] = True
-    return np.flatnonzero(seen).tolist()
+    return np.flatnonzero(seen)
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:
@@ -86,7 +102,7 @@ def image_sizes_all(field: Field, fn: FunctionSpec) -> np.ndarray:
     q = field.q
     sizes = np.empty(q, dtype=np.int64)
     seen = np.empty(q, dtype=bool)
-    for t, vals in field.slope_sweep(values_all(field, fn), range(q)):
+    for t, vals in slope_values(field, fn, range(q)):
         seen[:] = False
         seen[vals] = True
         sizes[t] = np.count_nonzero(seen)

@@ -15,13 +15,17 @@ modulus.
 Scalar operations are carry-less multiply/reduce on ints. Bulk operations
 (`mul_arrays`, `pow_all`) work on numpy arrays through discrete
 log/antilog tables built lazily from a multiplicative generator g (the
-antilog table by doubling, in O(log q) rounds of m numpy passes that rest
-on scalar `mul`; the log table by one scatter over it), and
-`trace_table` is the parity of each element masked by the traces of the
-basis elements. `slope_sweep` is the one kernel behind every full-slope
-sweep in the other modules: it yields p(x) + t*x over all x for each slope
-t, walking x in discrete-log order so that t*x is a contiguous slice of
-the antilog table. This module is the only one that knows that order.
+antilog table by doubling, in O(log q) rounds that each multiply by a
+fixed power of g through ceil(m/8) 256-entry byte tables built from
+scalar `mul`; the log table by one scatter over it), and `trace_table` is
+the parity of each element masked by the traces of the basis elements.
+`slope_sweep` is the one kernel behind every full-slope sweep in the
+other modules: it yields p(x) + t*x over all x for each slope t, walking
+x in discrete-log order so that t*x is a contiguous slice of the antilog
+table. Its input p runs in that order too: `power_sum` builds a sum of
+powers in it with no log lookup, and `kernel_order` rearranges an
+encoding-order array into it. This module is the only one that knows
+that order.
 Fields are immutable after construction apart from the idempotent table
 caches, so instances are safe to share across workers. A field pickles as
 its degree and modulus, and a worker builds its tables itself.
@@ -108,7 +112,7 @@ class Field:
         self.m = m
         self.q = 1 << m
         self.modulus = modulus
-        self._exp: np.ndarray | None = None   # g^k, k = 0..q-2
+        self._exp: np.ndarray | None = None   # g^k, k = 0..q-2: a view of exp2
         self._exp2: np.ndarray | None = None  # exp doubled, avoids mod q-1 on index sums
         self._log: np.ndarray | None = None   # discrete log; log[0] is a masked sentinel
         self._trace: np.ndarray | None = None
@@ -172,33 +176,40 @@ class Field:
         raise ArithmeticError("no generator found; modulus cannot be irreducible")
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exp, exp2, log), built once.
+        """(exp, exp2, log), built once; exp is the view exp2[:q - 1].
 
         exp is filled by doubling, exp[n:2n] = g^n * exp[:n], the last round
         cut at q - 1. Multiplying by a fixed c is GF(2)-linear, so c*a is the
-        XOR, over the set bits b of a, of the column c*x^b from scalar `mul`:
-        each round is m vector passes.
+        XOR of c*(byte j of a)*x^(8j) over the bytes of a: each round builds
+        ceil(m/8) 256-entry tables, by doubling from the columns c*x^b of
+        scalar `mul`, and does one lookup per byte.
         """
         if self._exp is None:
             q, units = self.q, self.q - 1
             g = 1 if q == 2 else self._find_generator()
-            exp = np.zeros(units, dtype=np.int64)
+            exp2 = np.zeros(2 * units, dtype=np.int64)
+            exp = exp2[:units]
             exp[0] = 1
             n, c = 1, g  # exp[:n] is filled and c = g^n
             while n < units:
                 src = exp[:min(n, units - n)]
                 dst = exp[n:n + len(src)]
-                for b in range(self.m):
-                    dst ^= ((src >> b) & 1) * self.mul(c, 1 << b)
+                for lo in range(0, self.m, 8):
+                    bits = min(8, self.m - lo)
+                    table = np.zeros(1 << bits, dtype=np.int64)  # c * (byte << lo)
+                    for b in range(bits):
+                        table[1 << b:2 << b] = table[:1 << b] ^ self.mul(c, 1 << (lo + b))
+                    dst ^= table[(src >> lo) & ((1 << bits) - 1)]
                 n += len(src)
                 c = self.mul(c, c)
             # q - 1 entries that hit every unit once leave no room for a 0
             if np.any(np.bincount(exp, minlength=q)[1:] != 1):
                 raise ArithmeticError("generator walk did not cover the unit group")
+            exp2[units:] = exp
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(units)
             self._exp = exp
-            self._exp2 = np.concatenate([exp, exp])
+            self._exp2 = exp2
             self._log = log
         return self._exp, self._exp2, self._log
 
@@ -241,19 +252,46 @@ class Field:
             self._trace = (np.bitwise_count(x & mask) & 1).astype(np.int64)
         return self._trace
 
+    def power_sum(self, exponents, const: int = 0) -> np.ndarray:
+        """p(x) = const + sum of x^e over exponents, in the kernel's order.
+
+        Entry 0 is p(0), with 0^0 = 1, and entry 1 + k is p(g^k), whose term
+        g^(k*e) is read off the antilog table at k*e mod q - 1: no log
+        lookup, and the reads walk the table in strides of e.
+        """
+        exp = self._tables()[0]
+        units = self.q - 1
+        out = np.full(self.q, const, dtype=np.int64)
+        for e in exponents:
+            if e < 0:
+                raise ValueError("exponent must be nonnegative")
+            if e == 0:
+                out[0] ^= 1
+            ke = np.arange(units, dtype=np.int64)  # reduced in place: 8 MB a pass at m = 20
+            ke *= e % units
+            ke %= units
+            out[1:] ^= exp[ke]
+        return out
+
+    def kernel_order(self, values) -> np.ndarray:
+        """An array p(x) in encoding order, rearranged into the kernel's order."""
+        values = np.asarray(values, dtype=np.int64)
+        return np.concatenate([values[:1], values[self._tables()[0]]])
+
     def slope_sweep(self, p, ts):
         """Yield (t, p(x) + t*x for every x) for each slope t in ts.
 
-        p holds p(x) in encoding order. The yielded values run over x = 0
-        first, then x = g^0, g^1, ..., g^(q-2) for the table generator g, so
-        t*x is the slice exp2[log t : log t + q - 1] and no product is
-        gathered. The yielded array is one buffer that the next slope
-        overwrites; copy it to keep it.
+        p and the yielded values run in the kernel's order: x = 0 first,
+        then x = g^0, g^1, ..., g^(q-2) for the table generator g, so t*x is
+        the slice exp2[log t : log t + q - 1] and no product is gathered.
+        `power_sum` builds p in that order and `kernel_order` converts to
+        it. The yielded array is one buffer that the next slope overwrites;
+        copy it to keep it.
         """
-        exp, exp2, log = self._tables()
+        _, exp2, log = self._tables()
         n = self.q - 1
         p = np.asarray(p, dtype=np.int64)
-        p_units = p[exp]  # p(g^k), k = 0..q-2
+        p_units = p[1:]  # p(g^k), k = 0..q-2
         out = np.empty(self.q, dtype=np.int64)
         out[0] = p[0]
         for t in ts:

@@ -112,7 +112,7 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
         raise ValueError(f"packed points need n*m <= {PACKED_BITS} bits, got {n * m}")
     blocks = []
     for t in range(field.q):
-        vals = np.array(image_values(field, fn, t), dtype=np.int64)
+        vals = image_values(field, fn, t)
         prefix = np.zeros(1, dtype=np.int64)  # packed x_1..x_j over I_f(t)^j
         for j in range(n):
             if j:

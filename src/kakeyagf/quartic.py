@@ -37,7 +37,7 @@ import numpy as np
 
 from .field import Field, exact_div, make_field
 from .fiber import (FiberDistribution, Quartic, fiber_distribution, image_sizes_all,
-                    image_values, values_all)
+                    image_values, slope_values)
 from .parallel import run_cases
 
 
@@ -104,7 +104,7 @@ def _curve_counts(field: Field, ts) -> np.ndarray:
     taken back out of each count.
     """
     zero_trace = field.trace_table() == 0
-    p = field.pow_all(field.q // 2 - 1) ^ 1   # w^(q/2-1) + 1
+    p = field.power_sum([field.q // 2 - 1], const=1)   # w^(q/2-1) + 1
     skip = int(zero_trace[p[0]])
     return np.array([1 + 2 * (int(np.count_nonzero(zero_trace[vals])) - skip)
                      for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)
@@ -205,7 +205,7 @@ def fiber_formula_case(field: Field) -> dict:
     measured = fiber_distribution(field, Quartic(), 0)
     if measured.nonzero() != omega0_distribution(m).nonzero():
         bad.append(0)
-    for t, vals in field.slope_sweep(values_all(field, Quartic()), range(1, q)):
+    for t, vals in slope_values(field, Quartic(), range(1, q)):
         counts = np.bincount(vals, minlength=q)
         trt = int(tr[t])
         if (int(np.count_nonzero(counts == 1)) != omega1_formula(m, trt)

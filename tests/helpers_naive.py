@@ -143,7 +143,7 @@ def kernel_bluher(field, i: int) -> int:
     p(y) = (y + 1)^(2^i+1), and a row with no zero is a b without a root.
     The point y = 0 gives p(0) = 1, never a root.
     """
-    p = field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1]
+    p = field.kernel_order(field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1])
     return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
 
 

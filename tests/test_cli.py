@@ -199,6 +199,8 @@ def test_all_reduced_and_repeatable():
     ["quartic", "--m", "3", "--modulus", "9"],             # x^3 + 1 = (x + 1)(x^2 + x + 1)
     ["bounds", "--m-range", "0..2", "--n-range", "1..2"],
     ["bounds", "--m-range", "1..2", "--n-range", "0..2"],
+    ["bounds", "--m-range", "60..60", "--n-range", "20..20"],  # bounds past the float range
+    ["bounds", "--m-range", "1100..1100", "--n-range", "1..1"],  # q itself is past it
     ["verify-bluher", "--m-max", "1"],
     ["verify-bluher", "--m-max", "21"],
     ["kakeya", "--m", "3", "--n", "2", "--f", "gold:5"],

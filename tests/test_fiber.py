@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kakeyagf.field import make_field, smallest_irreducible
+from kakeyagf.field import Field, make_field, smallest_irreducible
 from kakeyagf.fiber import (Gold, Quartic, fiber_distribution, function_label, image_sizes_all,
                             image_values, values_all)
+from kakeyagf.quartic import curve_point_count
 
 from helpers_naive import (SparseExponentSum, evaluate, naive_fiber, naive_image,
                            naive_irreducibles, total_preimages, total_values)
@@ -28,6 +29,27 @@ def test_gold_index_validated():
         values_all(f4, Gold(2))
     with pytest.raises(ValueError):
         values_all(f4, Gold(-1))
+    with pytest.raises(ValueError):   # the single-slope path checks it too
+        image_values(f4, Gold(2), 1)
+
+
+def test_single_slope_queries_make_no_pow_all(monkeypatch):
+    # a query builds its map in the kernel's order, with no encoding-order powers
+    calls = []
+    pow_all = Field.pow_all
+
+    def counting(self, e):
+        calls.append((self.m, e))
+        return pow_all(self, e)
+
+    monkeypatch.setattr(Field, "pow_all", counting)
+    f16 = Field(16)
+    fiber_distribution(f16, Quartic(), 3)
+    image_values(f16, Gold(8), 3)
+    curve_point_count(Field(17), 3)
+    assert calls == []
+    exp, exp2, _ = f16._tables()
+    assert np.shares_memory(exp, exp2)   # exp is stored once, as exp2's first half
 
 
 def test_image_values_frozen():
@@ -35,7 +57,8 @@ def test_image_values_frozen():
     assert len(image_values(f4, Gold(1), 0)) == 2
     assert len(image_values(f4, Gold(1), 1)) == 3
     assert len(image_values(f8, Quartic(), 0)) == 4
-    assert image_values(f4, Gold(1), 1) == [0, 2, 3]
+    vals = image_values(f4, Gold(1), 1)
+    assert vals.dtype == np.int64 and vals.tolist() == [0, 2, 3]
 
 
 def test_fiber_distribution_frozen():

@@ -137,6 +137,35 @@ def test_pow_all_matches_scalar(m):
                               np.array([f.pow(x, e) for x in f.elements()]))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_power_sum_matches_pow_all(m):
+    # every exponent 0..2q-1, alone and in pairs, both constants: that takes
+    # in 0^0 = 1, e = q - 1 and every e = 0 mod q - 1 (x^e = 1 on the units)
+    for modulus in naive_irreducibles(m, limit=2):
+        f = Field(m, modulus)
+        exps = range(2 * f.q)
+        powers = [f.pow_all(e) for e in exps]
+        for const in (0, 1):
+            for e in exps:
+                assert np.array_equal(f.power_sum([e], const),
+                                      f.kernel_order(powers[e] ^ const)), (modulus, e, const)
+                for e2 in exps[e:]:
+                    assert np.array_equal(f.power_sum([e, e2], const),
+                                          f.kernel_order(powers[e] ^ powers[e2] ^ const))
+
+
+def test_power_sum_edge_cases():
+    f2, f4 = make_field(1), make_field(2)
+    assert f2.power_sum([0]).tolist() == [1, 1]          # q = 2: 0^0 = 1
+    assert f2.power_sum([5], const=1).tolist() == [1, 0]
+    assert f4.power_sum([3]).tolist() == [0, 1, 1, 1]    # Gold(1) at m = 2: x^3 = 1 on the units
+    assert f4.power_sum([3, 0]).tolist() == [1, 0, 0, 0]    # x^3 + x^0, 0^0 = 1
+    g = f4._find_generator()
+    assert f4.power_sum([1]).tolist() == [0, 1, g, f4.mul(g, g)]   # entry 1 + k is g^k
+    with pytest.raises(ValueError):
+        f4.power_sum([-1])
+
+
 @pytest.mark.parametrize("m", range(1, 15))
 def test_tables_match_scalar_walk(m):
     # the walk exp[k] = exp[k-1]*g on scalar mul is the oracle for the doubling
@@ -193,7 +222,8 @@ def test_slope_sweep_matches_scalar(m):
     for modulus in naive_irreducibles(m)[:2]:
         f = make_field(m, modulus)
         p = [naive_mul(f.modulus, x, naive_mul(f.modulus, x, x)) for x in f.elements()]
-        rows = {t: Counter(vals.tolist()) for t, vals in f.slope_sweep(p, f.elements())}
+        sweep = f.slope_sweep(f.kernel_order(p), f.elements())
+        rows = {t: Counter(vals.tolist()) for t, vals in sweep}
         assert sorted(rows) == list(f.elements())
         for t, got in rows.items():
             assert got == Counter(p[x] ^ naive_mul(f.modulus, t, x) for x in f.elements())
