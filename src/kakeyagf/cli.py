@@ -32,8 +32,10 @@ from .fiber import Gold, Quartic, fiber_distribution
 from .parallel import run_cases
 
 USAGE_ERROR = 2
-# a brute-force sweep of every slope's image is O(q^2), about 4x per degree:
-# above this degree it runs for an hour or more
+# a brute-force sweep of every slope's image is one O(q) pass per Frobenius
+# class, about q^2/m in all and near 4x per degree: on two cores
+# `gold --m 18 --i 1 --verify` takes 17 s and `quartic --m 18` 23 s, so
+# m = 20 would run for five minutes or more
 SWEEP_MAX_M = 18
 
 

@@ -6,9 +6,12 @@ raw material every closed-form count in this package is checked against.
 Each map is a sum of powers of x, and `exponents` names them once. The
 values f(x) + t*x come from `Field.slope_sweep` on the map that
 `Field.power_sum` builds in the kernel's order; per slope they are
-reduced to a q-slot bitmap or count array, so a sweep over all t costs
-O(q^2) time and O(q) space, and a single slope O(q). `values_all` gives f
-in encoding order, for the callers that index it by x.
+reduced to a q-slot bitmap or count array, so a single slope costs O(q)
+time and space. Both families sum powers of x with coefficients in GF(2),
+so every slope of a Frobenius class {t, t^2, t^4, ...} has the same image
+size (`Field.frobenius_classes` checks the squaring this rests on), and
+the sizes of all t cost one O(q) pass per class: about q^2/m in all.
+`values_all` gives f in encoding order, for the callers that index it by x.
 """
 
 from __future__ import annotations
@@ -82,11 +85,19 @@ def _g_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
     return vals
 
 
+def image_sets(field: Field, fn: FunctionSpec, ts):
+    """Yield (t, sorted values of x -> f(x) + t*x) for each t in ts, from one sweep."""
+    seen = np.empty(field.q, dtype=bool)
+    for t, vals in slope_values(field, fn, ts):
+        seen[:] = False
+        seen[vals] = True
+        yield t, np.flatnonzero(seen)
+
+
 def image_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
     """Sorted values of x -> f(x) + t*x, as an int64 array."""
-    seen = np.zeros(field.q, dtype=bool)
-    seen[_g_values(field, fn, t)] = True
-    return np.flatnonzero(seen)
+    (_, vals), = image_sets(field, fn, [t])
+    return vals
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:
@@ -98,12 +109,13 @@ def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribut
 
 
 def image_sizes_all(field: Field, fn: FunctionSpec) -> np.ndarray:
-    """|I_f(t)| for every t: one O(q) bitmap pass per slope."""
+    """|I_f(t)| for every t: one O(q) bitmap pass per Frobenius class."""
     q = field.q
+    rep = field.frobenius_classes()
     sizes = np.empty(q, dtype=np.int64)
     seen = np.empty(q, dtype=bool)
-    for t, vals in slope_values(field, fn, range(q)):
+    for t, vals in slope_values(field, fn, np.flatnonzero(rep == np.arange(q))):
         seen[:] = False
         seen[vals] = True
         sizes[t] = np.count_nonzero(seen)
-    return sizes
+    return sizes[rep]

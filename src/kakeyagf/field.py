@@ -25,7 +25,11 @@ x in discrete-log order so that t*x is a contiguous slice of the antilog
 table. Its input p runs in that order too: `power_sum` builds a sum of
 powers in it with no log lookup, and `kernel_order` rearranges an
 encoding-order array into it. This module is the only one that knows
-that order.
+that order. `frobenius_classes` maps every slope to the least element of
+its class {t, t^2, t^4, ...}, once squaring has been checked GF(2)-additive
+in the tables; a map with coefficients in GF(2) has the same image size
+and fiber histogram at every slope of a class, so the full-slope sweeps
+run one slope per class.
 Fields are immutable after construction apart from the idempotent table
 caches, so instances are safe to share across workers. A field pickles as
 its degree and modulus, and a worker builds its tables itself.
@@ -34,6 +38,7 @@ its degree and modulus, and a worker builds its tables itself.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -66,6 +71,15 @@ def smallest_irreducible(m: int) -> int:
         if is_irreducible(cand):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {m}")
+
+
+def frobenius_class_count(m: int) -> int:
+    """Number of classes {t, t^2, t^4, ...} in GF(2^m).
+
+    By Burnside's lemma over the m powers of squaring: the k-th power fixes
+    the subfield GF(2^gcd(k, m)).
+    """
+    return sum(1 << math.gcd(k, m) for k in range(m)) // m
 
 
 def exact_div(num, den):
@@ -116,6 +130,7 @@ class Field:
         self._exp2: np.ndarray | None = None  # exp doubled, avoids mod q-1 on index sums
         self._log: np.ndarray | None = None   # discrete log; log[0] is a masked sentinel
         self._trace: np.ndarray | None = None
+        self._frobenius: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:x})"
@@ -251,6 +266,32 @@ class Field:
             x = np.arange(self.q, dtype=np.int64)
             self._trace = (np.bitwise_count(x & mask) & 1).astype(np.int64)
         return self._trace
+
+    def frobenius_classes(self) -> np.ndarray:
+        """For every t in encoding order, the least element of {t, t^2, t^4, ...}; cached.
+
+        Squaring is first checked GF(2)-additive in the table arithmetic:
+        the XOR-extension of its values at the basis elements 2^j, built by
+        doubling, must equal its value at every element. Squaring is also
+        multiplicative there and a bijection, so for a map f that sums
+        powers with coefficients in GF(2), f(x) + t^2*x is the square of
+        f(y) + t*y at y = sqrt(x), in the products the slope kernel takes:
+        the slopes of one class share their image size and fiber histogram.
+        """
+        if self._frobenius is None:
+            x = np.arange(self.q, dtype=np.int64)
+            sq = self.mul_arrays(x, x)
+            ext = np.zeros(self.q, dtype=np.int64)
+            for j in range(self.m):
+                ext[1 << j:2 << j] = ext[:1 << j] ^ sq[1 << j]
+            if not np.array_equal(ext, sq):
+                raise ArithmeticError("squaring is not GF(2)-additive in the field tables")
+            rep, orbit = x.copy(), x
+            for _ in range(self.m - 1):
+                orbit = sq[orbit]
+                np.minimum(rep, orbit, out=rep)
+            self._frobenius = rep
+        return self._frobenius
 
     def power_sum(self, exponents, const: int = 0) -> np.ndarray:
         """p(x) = const + sum of x^e over exponents, in the kernel's order.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, exact_div, make_field
+from .field import Field, exact_div, frobenius_class_count, make_field
 from .fiber import Gold, image_sizes_all
 from .parallel import run_cases
 
@@ -117,8 +117,9 @@ def profile_case(field: Field, i: int) -> dict:
 
 
 def profile_cases(m_max: int) -> list[tuple]:
-    """One O(q^2) brute-force case for every 2 <= m <= min(12, m_max) and 1 <= i < m."""
-    return [((1 << m) ** 2, profile_case, (make_field(m), i))
+    """One brute-force case for every 2 <= m <= min(12, m_max) and 1 <= i < m, costed
+    q per Frobenius class."""
+    return [(frobenius_class_count(m) << m, profile_case, (make_field(m), i))
             for m in range(2, min(12, m_max) + 1) for i in range(1, m)]
 
 

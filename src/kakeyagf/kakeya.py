@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Field, make_field
-from .fiber import (FunctionSpec, Gold, Quartic, function_label, image_sizes_all,
-                    image_values, values_all)
+from .fiber import (FunctionSpec, Gold, Quartic, function_label, image_sets, image_sizes_all,
+                    values_all)
 from .parallel import run_cases
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
@@ -96,7 +96,12 @@ class AffineMapError(ValueError):
 
 def build_kakeya(field: Field, n: int, fn: FunctionSpec,
                  materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> KakeyaSet:
-    """Image sizes always; tuples materialized when the block total fits the cap."""
+    """Image sizes always; tuples materialized when the block total fits the cap.
+
+    The sizes come from the one-slope-per-class `image_sizes_all`, the image
+    sets from one sweep of every slope, and the block count of the latter
+    must equal the total of the former.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if is_gf2_affine(field, values_all(field, fn)):
@@ -111,8 +116,7 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
     if n * m > PACKED_BITS:
         raise ValueError(f"packed points need n*m <= {PACKED_BITS} bits, got {n * m}")
     blocks = []
-    for t in range(field.q):
-        vals = image_values(field, fn, t)
+    for t, vals in image_sets(field, fn, range(field.q)):
         prefix = np.zeros(1, dtype=np.int64)  # packed x_1..x_j over I_f(t)^j
         for j in range(n):
             if j:

@@ -35,7 +35,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 
-from .field import Field, exact_div, make_field
+from .field import Field, exact_div, frobenius_class_count, make_field
 from .fiber import (FiberDistribution, Quartic, fiber_distribution, image_sizes_all,
                     image_values, slope_values)
 from .parallel import run_cases
@@ -198,26 +198,35 @@ def sharpness_search(field: Field) -> SharpnessResult:
 # sweeps used by the verification suite
 
 def fiber_formula_case(field: Field) -> dict:
-    """All fiber histograms of one field against the closed forms."""
+    """All fiber histograms of one field against the closed forms.
+
+    Every slope is covered by one brute-force sweep per Frobenius class:
+    the histogram and Tr(t) are the same at every slope of a class, so a
+    failing class fails at each of its slopes, and `bad_t` lists the
+    first eight failing t in encoding order.
+    """
     m, q = field.m, field.q
     tr = field.trace_table()
+    rep = field.frobenius_classes()
     bad: list[int] = []
     measured = fiber_distribution(field, Quartic(), 0)
     if measured.nonzero() != omega0_distribution(m).nonzero():
         bad.append(0)
-    for t, vals in slope_values(field, Quartic(), range(1, q)):
+    bad_reps = []
+    for t, vals in slope_values(field, Quartic(), np.flatnonzero(rep == np.arange(q))[1:]):
         counts = np.bincount(vals, minlength=q)
         trt = int(tr[t])
         if (int(np.count_nonzero(counts == 1)) != omega1_formula(m, trt)
                 or int(np.count_nonzero(counts == 3)) != omega3_formula(trt)
                 or int(np.count_nonzero(counts >= 5)) != 0):
-            bad.append(t)
+            bad_reps.append(t)
+    bad += np.flatnonzero(np.isin(rep, bad_reps)).tolist()
     return {"m": m, "ok": not bad, "bad_t": bad[:8]}
 
 
 def fiber_formula_cases(m_max: int) -> list[tuple]:
-    """One O(q^2) brute-force case for every m <= min(13, m_max)."""
-    return [((1 << m) ** 2, fiber_formula_case, (make_field(m),))
+    """One brute-force case for every m <= min(13, m_max), costed q per Frobenius class."""
+    return [(frobenius_class_count(m) << m, fiber_formula_case, (make_field(m),))
             for m in range(1, min(13, m_max) + 1)]
 
 
@@ -228,9 +237,10 @@ def fiber_formula_sweep(m_max: int) -> list[dict]:
 def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> dict:
     """Formula-path image sizes vs brute force, plus the |v - q| <= 2*sqrt(q) gate.
 
-    spot = None checks every t != 0 against brute force; otherwise brute
-    force runs on `spot` slopes sampled with the given seed while the
-    formula path still sweeps every t.
+    spot = None checks every t != 0 against brute force, one sweep per
+    Frobenius class (`image_sizes_all`); otherwise brute force runs on
+    `spot` slopes sampled with the given seed while the formula path still
+    covers every t.
     """
     q = field.q
     v = _curve_counts_all(field)[1:]
@@ -249,8 +259,9 @@ def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> di
 
 
 def image_exact_cases(m_max: int, seed: int) -> list[tuple]:
-    """Every slope by brute force, O(q^2), at odd m <= min(11, m_max); 100 at m = 13."""
-    cases = [((1 << m) ** 2, image_exact_case, (make_field(m), None, seed))
+    """Every slope by brute force at odd m <= min(11, m_max), costed q per Frobenius
+    class; 100 slopes at m = 13."""
+    cases = [(frobenius_class_count(m) << m, image_exact_case, (make_field(m), None, seed))
              for m in range(3, min(11, m_max) + 1, 2)]
     if m_max >= 13:
         cases.append((100 << 13, image_exact_case, (make_field(13), 100, seed)))

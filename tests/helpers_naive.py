@@ -4,11 +4,13 @@ Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops,
 a Kakeya verifier that sorts the whole set once per direction, and the
 tests' own views of library objects (packed points, fiber sums).
-Nothing imports the library's vectorized paths, except two helpers for
+Nothing imports the library's vectorized paths, except a few helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
-sparse sum of monomials to the library's affinity gate, and
-`kernel_bluher`, the O(q^2) scan of every (b, x) on the field's slope
-kernel, kept as the cross-check of the library's O(q) count.
+sparse sum of monomials to the library's affinity gate; `kernel_bluher`,
+the O(q^2) scan of every (b, x) on the field's slope kernel, kept as the
+cross-check of the library's O(q) count; and `full_sweep_image_sizes`
+and `full_sweep_fiber_bad`, the O(q^2) sweeps of every slope that the
+library's one-slope-per-Frobenius-class checks are held to.
 """
 
 from collections import Counter
@@ -17,7 +19,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from kakeyagf.fiber import Gold, Quartic
+from kakeyagf import quartic
+from kakeyagf.fiber import Gold, Quartic, exponents
 
 
 def pmul(a: int, b: int) -> int:
@@ -145,6 +148,36 @@ def kernel_bluher(field, i: int) -> int:
     """
     p = field.kernel_order(field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1])
     return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
+
+
+def full_sweep_image_sizes(field, fn) -> np.ndarray:
+    """|I_f(t)| for every t, one sweep of the field's slope kernel per slope."""
+    sweep = field.slope_sweep(field.power_sum(exponents(field, fn)), field.elements())
+    return np.array([np.unique(vals).size for _, vals in sweep], dtype=np.int64)
+
+
+def full_sweep_fiber_bad(field) -> list[int]:
+    """Every t, in encoding order, whose quartic fiber histogram misses the closed forms.
+
+    One sweep per slope, with Tr(t) from the scalar trace. The formulas are
+    looked up in `kakeyagf.quartic` at call time, so a patched formula
+    reaches this sweep too.
+    """
+    m, q = field.m, field.q
+    bad = []
+    for t, vals in field.slope_sweep(field.power_sum((4, 3)), field.elements()):
+        hist = Counter(Counter(vals.tolist()).values())
+        if t == 0:
+            hist[0] = q - sum(hist.values())
+            expected = quartic.omega0_distribution(m).nonzero()
+            if {k: c for k, c in hist.items() if c} != expected:
+                bad.append(t)
+            continue
+        tr = field.trace_abs(t)
+        if (hist[1] != quartic.omega1_formula(m, tr) or hist[3] != quartic.omega3_formula(tr)
+                or any(k >= 5 for k in hist)):
+            bad.append(t)
+    return bad
 
 
 def pack_point(coords, m: int) -> int:

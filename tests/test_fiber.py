@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from kakeyagf.field import Field, make_field, smallest_irreducible
 from kakeyagf.fiber import (Gold, Quartic, fiber_distribution, function_label, image_sizes_all,
                             image_values, values_all)
-from kakeyagf.quartic import curve_point_count
+from kakeyagf.quartic import curve_point_count, fiber_formula_case
 
-from helpers_naive import (SparseExponentSum, evaluate, naive_fiber, naive_image,
-                           naive_irreducibles, total_preimages, total_values)
+from helpers_naive import (SparseExponentSum, evaluate, full_sweep_image_sizes, naive_fiber,
+                           naive_image, naive_irreducibles, total_preimages, total_values)
 
 
 def test_evaluate_frozen():
@@ -50,6 +50,38 @@ def test_single_slope_queries_make_no_pow_all(monkeypatch):
     assert calls == []
     exp, exp2, _ = f16._tables()
     assert np.shares_memory(exp, exp2)   # exp is stored once, as exp2's first half
+
+
+def test_full_slope_checks_sweep_one_slope_per_class(monkeypatch):
+    # the slopes of a Frobenius class share their sweep; a return to one
+    # sweep per slope asks for every t and fails here
+    asked = []
+    sweep = Field.slope_sweep
+
+    def counting(self, p, ts):
+        ts = list(ts)
+        asked.extend(ts)
+        return sweep(self, p, ts)
+
+    monkeypatch.setattr(Field, "slope_sweep", counting)
+    field = Field(9)
+    reps = sorted(set(field.frobenius_classes().tolist()))
+    assert len(reps) == 60
+    for fn in (Gold(2), Quartic()):
+        asked.clear()
+        image_sizes_all(field, fn)
+        assert sorted(asked) == reps
+    asked.clear()
+    fiber_formula_case(field)
+    assert sorted(asked) == reps
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_image_sizes_match_full_sweep(m):
+    for modulus in naive_irreducibles(m, limit=2):
+        field = make_field(m, modulus)
+        for fn in [Quartic()] + [Gold(i) for i in range(m)]:
+            assert np.array_equal(image_sizes_all(field, fn), full_sweep_image_sizes(field, fn))
 
 
 def test_image_values_frozen():

@@ -1,5 +1,6 @@
 """GF(2^m) arithmetic against naive polynomial oracles and field axioms."""
 
+import math
 import pickle
 from collections import Counter
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kakeyagf.field import Field, is_irreducible, make_field, poly_mod, smallest_irreducible
+from kakeyagf.field import (Field, frobenius_class_count, is_irreducible, make_field, poly_mod,
+                            smallest_irreducible)
 
 from helpers_naive import (naive_irreducibles, naive_is_irreducible, naive_mul,
                            naive_smallest_irreducible)
@@ -200,6 +202,45 @@ def test_tables_reject_short_generator_walk(m, monkeypatch):
         monkeypatch.setattr(Field, "_find_generator", lambda self, g=fake: g)
         with pytest.raises(ArithmeticError, match="did not cover the unit group"):
             f._tables()
+
+
+def _necklaces(m):
+    """(1/m) * sum over d | m of phi(d) * 2^(m/d), phi counted by gcd."""
+    phi = [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(m + 1)]
+    return sum(phi[d] << (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_frobenius_classes(m):
+    for modulus in naive_irreducibles(m, limit=2):
+        f = make_field(m, modulus)
+        rep = f.frobenius_classes()
+        assert rep is f.frobenius_classes()   # cached
+        t = np.arange(f.q)
+        squares = [naive_mul(modulus, a, a) for a in f.elements()]
+        assert np.array_equal(rep[rep], rep)
+        assert np.array_equal(rep[squares], rep)
+        assert np.all(rep <= t)
+        sizes = np.bincount(rep)[np.flatnonzero(rep == t)]
+        assert all(m % int(s) == 0 for s in sizes)
+        assert sizes.size == _necklaces(m)
+
+
+def test_frobenius_class_count():
+    assert [frobenius_class_count(m) for m in (12, 13)] == [352, 632]
+    assert all(frobenius_class_count(m) == _necklaces(m) for m in range(1, 21))
+
+
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_frobenius_classes_reject_swapped_exp_entries(m):
+    f = Field(m)
+    exp, exp2, log = f._tables()
+    units = f.q - 1
+    exp[[1, 2]] = exp[[2, 1]]   # still covers the units once, so only additivity can see it
+    exp2[units:] = exp
+    log[exp] = np.arange(units)
+    with pytest.raises(ArithmeticError, match="not GF\\(2\\)-additive"):
+        f.frobenius_classes()
 
 
 def test_trace_abs_frozen():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kakeyagf import kakeya
-from kakeyagf.field import make_field
+from kakeyagf.field import Field, make_field
 from kakeyagf.fiber import Gold, Quartic, image_values, values_all
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
                              bound_report, build_kakeya, canonical_directions,
@@ -80,6 +80,26 @@ def test_build_gf4_gold1():
     ref = naive_kakeya_points(f4, 2, {t: image_values(f4, Gold(1), t) for t in range(4)})
     assert set(ks.points.tolist()) == {pack_point(p, 2) for p in ref}
     assert verify_kakeya(ks).ok
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 2), (6, 2)])
+def test_build_reads_every_image_set_from_one_sweep(m, n, monkeypatch):
+    # one map for the class-reduced sizes, one for the sweep of every slope's
+    # image set: two maps per set, not one per slope
+    maps = []
+    power_sum = Field.power_sum
+
+    def counting(self, exponents, const=0):
+        maps.append(tuple(exponents))
+        return power_sum(self, exponents, const)
+
+    monkeypatch.setattr(Field, "power_sum", counting)
+    field = make_field(m)
+    fn = _parity_map(m)
+    ks = build_kakeya(field, n, fn)
+    assert len(maps) == 2
+    ref = naive_kakeya_points(field, n, {t: naive_image(field, fn, t) for t in range(field.q)})
+    assert set(ks.points.tolist()) == {pack_point(p, m) for p in ref}
 
 
 def test_build_dimension_one():

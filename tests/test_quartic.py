@@ -12,8 +12,9 @@ from kakeyagf.quartic import (_curve_counts, _curve_counts_all, curve_point_coun
                               omega0_distribution, omega1_formula, omega3_formula,
                               quartic_floor_bound, sharpness_search)
 
-from helpers_naive import (naive_curve_pairs, naive_image, naive_irreducibles,
-                           naive_largest_irreducible)
+from kakeyagf import quartic
+from helpers_naive import (full_sweep_fiber_bad, naive_curve_pairs, naive_image,
+                           naive_irreducibles, naive_largest_irreducible)
 
 
 def test_omega1_frozen():
@@ -49,6 +50,29 @@ def test_omega0_matches_measured(m):
 @pytest.mark.parametrize("m", range(1, 8))
 def test_fiber_formulas_all_slopes(m):
     assert fiber_formula_case(make_field(m))["ok"]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_fiber_formula_case_matches_full_sweep(m):
+    for modulus in naive_irreducibles(m, limit=2):
+        field = make_field(m, modulus)
+        bad = full_sweep_fiber_bad(field)
+        assert bad == []   # the closed forms hold at every slope
+        assert fiber_formula_case(field) == {"m": m, "ok": True, "bad_t": []}
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_fiber_formula_case_expands_failing_classes(m, monkeypatch):
+    # a wrong formula for Tr(t) = 1 fails every such slope; the classes it
+    # fails on are expanded into the first eight slopes in encoding order
+    formula = quartic.omega1_formula
+    monkeypatch.setattr(quartic, "omega1_formula",
+                        lambda m, tr_t: formula(m, tr_t) + tr_t)
+    for modulus in naive_irreducibles(m, limit=2):
+        field = make_field(m, modulus)
+        bad = full_sweep_fiber_bad(field)
+        assert bad == [t for t in range(1, field.q) if field.trace_abs(t)]
+        assert fiber_formula_case(field) == {"m": m, "ok": False, "bad_t": bad[:8]}
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
