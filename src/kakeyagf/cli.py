@@ -3,11 +3,12 @@
 Pure orchestration; all mathematics lives in the library modules. Output
 is deterministic for a fixed configuration and seed regardless of the
 worker count: with more than one worker, `all` runs the cases of all its
-sweeps through one pool, costliest first, and reassembles each check's
-rows in a fixed order, and every collection is emitted sorted. JSON is
-the machine format of record; csv and text are renderings of the same
-report object. Every verb takes `--format`; only `all` and `verify-bluher`
-take `-j`, and only `all`, which samples, takes `--seed`.
+sweeps through one set of forked workers, costliest first, and
+reassembles each check's rows in a fixed order, and every collection is
+emitted sorted. JSON is the machine format of record; csv and text are
+renderings of the same report object. Every verb takes `--format`; only
+`all` and `verify-bluher` take `-j`, and only `all`, which samples, takes
+`--seed`.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. argparse checks each option on its own through its `type=`; a verb
@@ -276,8 +277,10 @@ def _stage_rows(m_max: int, seed: int, workers: int) -> list[tuple[str, list]]:
 
     One worker calls the seven sweeps in turn, so that each stage's time
     can be traced through its sweep. More run the cases of all seven
-    through one pool, costliest first, and hand each stage its rows back
-    in case order.
+    through one set of forked workers, costliest first: the workers
+    inherit the cases, stream each result back over a pipe, and each
+    stage gets its rows back in case order. Where `fork` is unavailable
+    the cases run in this process.
     """
     swept = [
         ("bluher-agreement", bluher.agreement_sweep, bluher.agreement_cases, (min(12, m_max),)),

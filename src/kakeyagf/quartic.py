@@ -116,8 +116,9 @@ def _curve_counts_all(field: Field) -> np.ndarray:
     S is the integer transform of (-1)^Tr(p(w)): m in-place butterfly
     passes. The count of w with Tr(p(w) + t*w) = 0 is (q + S[L(t)]) / 2,
     where L(t) has bit k = Tr(t*2^k); L is GF(2)-linear, so it is extended
-    from the basis values Tr(2^j*2^k) by doubling. As in `_curve_counts`,
-    w = 0 stands for no z and is taken back out.
+    by doubling from the basis values Tr(2^j*2^k), read from the trace
+    table. As in `_curve_counts`, w = 0 stands for no z and is taken back
+    out.
     """
     m, q = field.m, field.q
     tr = field.trace_table()
@@ -131,7 +132,7 @@ def _curve_counts_all(field: Field) -> np.ndarray:
         hi += lo                          # (lo + hi) - 2*hi = lo - hi
     lin = np.zeros(q, dtype=np.int64)
     for j in range(m):
-        basis = sum(field.trace_abs(field.mul(1 << j, 1 << k)) << k for k in range(m))
+        basis = sum(int(tr[field.mul(1 << j, 1 << k)]) << k for k in range(m))
         lin[1 << j:2 << j] = lin[:1 << j] ^ basis
     zeros = exact_div(q + s[lin], 2)
     return 1 + 2 * (zeros - int(tr[p[0]] == 0))
