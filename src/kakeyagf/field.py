@@ -31,8 +31,7 @@ in the tables; a map with coefficients in GF(2) has the same image size
 and fiber histogram at every slope of a class, so the full-slope sweeps
 run one slope per class.
 Fields are immutable after construction apart from the idempotent table
-caches, so instances are safe to share across workers. A field pickles as
-its degree and modulus, and a worker builds its tables itself.
+caches, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -113,7 +112,6 @@ class Field:
     def __init__(self, m: int, modulus: int | None = None):
         if not isinstance(m, int) or not 1 <= m <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
-        self._canonical = modulus is None
         if modulus is None:
             modulus = smallest_irreducible(m)
         else:
@@ -134,11 +132,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:x})"
-
-    def __reduce__(self):
-        # a worker rebuilds the tables rather than unpickle a copy with every
-        # case, and a canonical field is its own cached instance, built once
-        return make_field, (self.m, None if self._canonical else self.modulus)
 
     def elements(self) -> range:
         return range(self.q)

@@ -29,15 +29,13 @@ every sweep here), which caps |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8);
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 
 from .field import Field, exact_div, frobenius_class_count, make_field
-from .fiber import (FiberDistribution, Quartic, fiber_distribution, image_sizes_all,
-                    image_values, slope_values)
+from .fiber import FiberDistribution, Quartic, fiber_distribution, image_sizes_all, slope_values
 from .parallel import run_cases
 
 
@@ -235,42 +233,29 @@ def fiber_formula_sweep(m_max: int) -> list[dict]:
     return run_cases(fiber_formula_cases(m_max))
 
 
-def image_exact_case(field: Field, spot: int | None = None, seed: int = 0) -> dict:
-    """Formula-path image sizes vs brute force, plus the |v - q| <= 2*sqrt(q) gate.
+def image_exact_case(field: Field) -> dict:
+    """Formula-path image sizes vs brute force at every t != 0, and the Hasse gate.
 
-    spot = None checks every t != 0 against brute force, one sweep per
-    Frobenius class (`image_sizes_all`); otherwise brute force runs on
-    `spot` slopes sampled with the given seed while the formula path still
-    covers every t.
+    The brute force is one sweep per Frobenius class (`image_sizes_all`);
+    the gate is |v - q| <= 2*sqrt(q) at every t != 0.
     """
     q = field.q
     v = _curve_counts_all(field)[1:]
     hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
     sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
-    if spot is None:
-        brute = image_sizes_all(field, Quartic())
-        match_ok = bool(np.array_equal(sizes, brute[1:]))
-        checked = q - 1
-    else:
-        ts = sorted(random.Random(seed).sample(range(1, q), spot))
-        match_ok = all([len(image_values(field, Quartic(), t)) == sizes[t - 1] for t in ts])
-        checked = len(ts)
+    match_ok = bool(np.array_equal(sizes, image_sizes_all(field, Quartic())[1:]))
     return {"m": field.m, "hasse_ok": hasse_ok, "match_ok": match_ok,
-            "brute_checked": checked, "ok": hasse_ok and match_ok}
+            "brute_checked": q - 1, "ok": hasse_ok and match_ok}
 
 
-def image_exact_cases(m_max: int, seed: int) -> list[tuple]:
-    """Every slope by brute force at odd m <= min(11, m_max), costed q per Frobenius
-    class; 100 slopes at m = 13."""
-    cases = [(frobenius_class_count(m) << m, image_exact_case, (make_field(m), None, seed))
-             for m in range(3, min(11, m_max) + 1, 2)]
-    if m_max >= 13:
-        cases.append((100 << 13, image_exact_case, (make_field(13), 100, seed)))
-    return cases
+def image_exact_cases(m_max: int) -> list[tuple]:
+    """Every slope by brute force at odd m <= min(13, m_max), costed q per Frobenius class."""
+    return [(frobenius_class_count(m) << m, image_exact_case, (make_field(m),))
+            for m in range(3, min(13, m_max) + 1, 2)]
 
 
-def image_exact_sweep(m_max: int, seed: int) -> list[dict]:
-    return run_cases(image_exact_cases(m_max, seed))
+def image_exact_sweep(m_max: int) -> list[dict]:
+    return run_cases(image_exact_cases(m_max))
 
 
 def sharpness_case(m: int) -> dict:

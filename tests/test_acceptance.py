@@ -56,15 +56,14 @@ def test_quartic_fiber_formulas():
 
 
 def test_quartic_image_exact():
-    # odd m in {3..11}: formula == brute force for every t != 0; m = 13:
-    # 100 seeded slopes brute-forced plus the full fast-path sweep; the
-    # |v - q| <= 2 sqrt(q) window holds for every checked slope
-    rows = quartic.image_exact_sweep(13, seed=0)
+    # odd m in {3..13}: formula == brute force for every t != 0, and the
+    # |v - q| <= 2 sqrt(q) window holds at every slope
+    rows = quartic.image_exact_sweep(13)
     assert [r["m"] for r in rows] == [3, 5, 7, 9, 11, 13]
     for r in rows:
         assert r["hasse_ok"], r
         assert r["match_ok"], r
-    assert [r["brute_checked"] for r in rows] == [7, 31, 127, 511, 2047, 100]
+    assert [r["brute_checked"] for r in rows] == [7, 31, 127, 511, 2047, 8191]
     _report("quartic-image-exact", rows)
 
 

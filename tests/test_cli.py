@@ -154,6 +154,25 @@ def test_quartic_slope_counts_curve_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["formula_matches_bruteforce"] is True
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_all_image_exact_checks_every_slope_at_13(workers, monkeypatch, capsys):
+    # one wrong brute-force size at m = 13, at a slope that a seeded sample
+    # of 100 (random.Random(0)) would miss, must fail the check
+    image_sizes_all = quartic.image_sizes_all
+
+    def off_by_one(field, fn):
+        sizes = image_sizes_all(field, fn)
+        if field.m == 13:
+            sizes[3] += 1
+        return sizes
+
+    monkeypatch.setattr(quartic, "image_sizes_all", off_by_one)
+    code = main(["all", "--m-max", "13", "--format", "json", "-j", workers])
+    checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks.pop("quartic-image-exact") is False
+    assert all(checks.values()) and code == 1
+
+
 def test_quartic_verb():
     r = run_cli("quartic", "--m", "3", "--format", "json")
     assert r.returncode == 0
@@ -277,7 +296,7 @@ def test_kakeya_check_skipped_above_cap(capsys):
 
 
 # each verb's options; -j only where there are cases to spread over
-# workers, --seed only where something is sampled
+# workers; `all` takes --seed and echoes it in its report
 VERB_OPTIONS = {
     "verify-bluher": [["--format"], ["--parallelism", "-j"], ["--m-max"]],
     "gold": [["--format"], ["--modulus"], ["--m"], ["--i"], ["--verify"]],

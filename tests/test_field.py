@@ -1,7 +1,6 @@
 """GF(2^m) arithmetic against naive polynomial oracles and field axioms."""
 
 import math
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -51,16 +50,6 @@ def test_make_field_override_accepted():
     f = make_field(4, modulus=0b11001)  # x^4+x^3+1
     assert f.q == 16
     assert f.mul(1, 9) == 9
-
-
-def test_field_pickles_by_degree_and_modulus():
-    # a worker builds its own tables; a canonical field unpickles to the cached one
-    f = make_field(9)
-    f.trace_table()
-    data = pickle.dumps(f)
-    assert len(data) < 200 and pickle.loads(data) is f
-    g = pickle.loads(pickle.dumps(make_field(4, 0b11001)))
-    assert (g.m, g.modulus) == (4, 0b11001) and g is not make_field(4)
 
 
 def test_mul_frozen_examples():

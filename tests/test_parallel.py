@@ -68,13 +68,13 @@ def test_all_starts_one_pool(monkeypatch, capsys):
 
 
 def test_stage_rows_match_across_workers():
-    serial = cli._stage_rows(7, 0, 1)
+    serial = cli._stage_rows(7, 1)
     assert [name for name, _ in serial] == [
         "bluher-agreement", "gold-image-profile", "half-gold-structure",
         "quartic-fiber-formulas", "quartic-image-exact", "quartic-floor-sharpness",
         "kakeya-construction", "bound-dominance", "floor-bound-integer-path"]
     assert all(isinstance(r, BluherCount) for r in serial[0][1])
-    assert serial == cli._stage_rows(7, 0, 2)
+    assert serial == cli._stage_rows(7, 2)
 
 
 def test_many_items_come_back_in_order():

@@ -7,8 +7,7 @@ import pytest
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Quartic, fiber_distribution, image_values
 from kakeyagf.quartic import (_curve_counts, _curve_counts_all, curve_point_count,
-                              fiber_formula_case, floor_bound_consistency,
-                              image_exact_case, image_record,
+                              fiber_formula_case, floor_bound_consistency, image_record,
                               omega0_distribution, omega1_formula, omega3_formula,
                               quartic_floor_bound, sharpness_search)
 
@@ -175,7 +174,3 @@ def test_image_record():
     assert (rec.exact_size, rec.floor_bound, rec.sharp) == (6, 6, True)
     assert (rec.count.t, rec.count.v, rec.count.delta) == (3, 5, 1)
 
-
-def test_image_exact_case_spot_mode():
-    case = image_exact_case(make_field(7), spot=20, seed=0)
-    assert case["ok"] and case["brute_checked"] == 20
