@@ -17,19 +17,23 @@ Scalar operations are carry-less multiply/reduce on ints. Bulk operations
 log/antilog tables built lazily from a multiplicative generator g (the
 antilog table by doubling, in O(log q) rounds that each multiply by a
 fixed power of g through ceil(m/8) 256-entry byte tables built from
-scalar `mul`; the log table by one scatter over it), and `trace_table` is
-the parity of each element masked by the traces of the basis elements.
+scalar `mul`; the log table by one scatter over it, which also checks
+that the walk reached every unit), and `trace_table` is built by
+doubling from the traces of the basis elements.
 `slope_sweep` is the one kernel behind every full-slope sweep in the
 other modules: it yields p(x) + t*x over all x for each slope t, walking
 x in discrete-log order so that t*x is a contiguous slice of the antilog
 table. Its input p runs in that order too: `power_sum` builds a sum of
-powers in it with no log lookup, and `kernel_order` rearranges an
-encoding-order array into it. This module is the only one that knows
-that order. `frobenius_classes` maps every slope to the least element of
-its class {t, t^2, t^4, ...}, once squaring has been checked GF(2)-additive
-in the tables; a map with coefficients in GF(2) has the same image size
-and fiber histogram at every slope of a class, so the full-slope sweeps
-run one slope per class.
+powers in it with no log lookup and no index array over the field. For
+x = g^k, the log k*e of x^e steps by a along k = r, r + b, r + 2b, ...,
+where a = e*b mod q - 1 is taken near 0 (`stride_pair` picks the b that
+makes |a| + b least), so each term is a few strided slices of the
+antilog table, never more than about 2*sqrt(q). This module is the only
+one that knows that order. `frobenius_classes` maps every slope to the
+least element of its class {t, t^2, t^4, ...}, once squaring has been
+checked GF(2)-additive in the tables; a map with coefficients in GF(2)
+has the same image size and fiber histogram at every slope of a class,
+so the full-slope sweeps run one slope per class.
 Fields are immutable after construction apart from the idempotent table
 caches, so instances are safe to share across workers.
 """
@@ -92,6 +96,25 @@ def exact_div(num, den):
     return quo
 
 
+def stride_pair(e: int, units: int) -> tuple[int, int]:
+    """(a, b) with b >= 1 and a = e*b mod units in (-units/2, units/2], |a| + b least.
+
+    Along k = r, r + b, r + 2b, ... the product k*e steps by a mod units.
+    By Dirichlet's approximation theorem some b <= ceil(sqrt(units)) has
+    |a| < sqrt(units), so the search over b stops early.
+    """
+    best, best_cost = (0, 1), math.inf
+    b = 1
+    while b < best_cost:
+        a = e * b % units
+        if 2 * a > units:
+            a -= units
+        if abs(a) + b < best_cost:
+            best, best_cost = (a, b), abs(a) + b
+        b += 1
+    return best
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -132,9 +155,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:x})"
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -210,12 +230,13 @@ class Field:
                     dst ^= table[(src >> lo) & ((1 << bits) - 1)]
                 n += len(src)
                 c = self.mul(c, c)
-            # q - 1 entries that hit every unit once leave no room for a 0
-            if np.any(np.bincount(exp, minlength=q)[1:] != 1):
-                raise ArithmeticError("generator walk did not cover the unit group")
-            exp2[units:] = exp
-            log = np.zeros(q, dtype=np.int64)
+            log = np.full(q, -1, dtype=np.int64)
             log[exp] = np.arange(units)
+            # q - 1 entries that reach every unit hit each once and none is 0
+            if log[1:].min() < 0:
+                raise ArithmeticError("generator walk did not cover the unit group")
+            log[0] = 0
+            exp2[units:] = exp
             self._exp = exp
             self._exp2 = exp2
             self._log = log
@@ -248,16 +269,17 @@ class Field:
     def trace_table(self) -> np.ndarray:
         """trace_abs of every element, cached.
 
-        The trace is GF(2)-linear, so Tr(x) is the parity of x & mask, where
-        bit k of mask is Tr(2^k).
+        The trace is GF(2)-linear, so it is built by doubling:
+        Tr(x + 2^k) = Tr(x) + Tr(2^k) for every x below 2^k.
         """
         if self._trace is None:
             basis = [self.trace_abs(1 << k) for k in range(self.m)]
             if any(b >> 1 for b in basis):
                 raise ArithmeticError("trace values escaped {0, 1}")
-            mask = sum(b << k for k, b in enumerate(basis))
-            x = np.arange(self.q, dtype=np.int64)
-            self._trace = (np.bitwise_count(x & mask) & 1).astype(np.int64)
+            tr = np.zeros(self.q, dtype=np.int64)
+            for k, b in enumerate(basis):
+                tr[1 << k:2 << k] = tr[:1 << k] ^ b
+            self._trace = tr
         return self._trace
 
     def frobenius_classes(self) -> np.ndarray:
@@ -290,10 +312,15 @@ class Field:
         """p(x) = const + sum of x^e over exponents, in the kernel's order.
 
         Entry 0 is p(0), with 0^0 = 1, and entry 1 + k is p(g^k), whose term
-        g^(k*e) is read off the antilog table at k*e mod q - 1: no log
-        lookup, and the reads walk the table in strides of e.
+        is g^(k*e). With (a, b) = stride_pair(e, q - 1), the logs k*e along
+        k = r, r + b, r + 2b, ... step by a, so out[1 + r::b] takes a run of
+        slices of the doubled antilog table in stride a: ascending from
+        below q - 1 for a > 0, descending from q - 1 or above for a < 0.
+        For a = 0 the residue class is constant, and one broadcast over a
+        (q - 1)/b by b view covers every r. No log lookup, and no index
+        array longer than b.
         """
-        exp = self._tables()[0]
+        _, exp2, _ = self._tables()
         units = self.q - 1
         out = np.full(self.q, const, dtype=np.int64)
         for e in exponents:
@@ -301,16 +328,23 @@ class Field:
                 raise ValueError("exponent must be nonnegative")
             if e == 0:
                 out[0] ^= 1
-            ke = np.arange(units, dtype=np.int64)  # reduced in place: 8 MB a pass at m = 20
-            ke *= e % units
-            ke %= units
-            out[1:] ^= exp[ke]
+            e %= units
+            a, b = stride_pair(e, units)
+            if a == 0:  # b = (q - 1)/gcd(e, q - 1) divides q - 1
+                block = out[1:].reshape(-1, b)
+                block ^= exp2[np.arange(b) * e % units]
+                continue
+            base = units if a < 0 else 0  # a run descends from the upper copy
+            for r in range(b):
+                dst = out[1 + r::b]
+                s, j = r * e % units + base, 0
+                while j < len(dst):
+                    src = exp2[s::a][:len(dst) - j]  # to the end of the table
+                    run = dst[j:j + len(src)]
+                    np.bitwise_xor(run, src, out=run)
+                    j += len(src)
+                    s = (s + len(src) * a) % units + base
         return out
-
-    def kernel_order(self, values) -> np.ndarray:
-        """An array p(x) in encoding order, rearranged into the kernel's order."""
-        values = np.asarray(values, dtype=np.int64)
-        return np.concatenate([values[:1], values[self._tables()[0]]])
 
     def slope_sweep(self, p, ts):
         """Yield (t, p(x) + t*x for every x) for each slope t in ts.
@@ -318,9 +352,8 @@ class Field:
         p and the yielded values run in the kernel's order: x = 0 first,
         then x = g^0, g^1, ..., g^(q-2) for the table generator g, so t*x is
         the slice exp2[log t : log t + q - 1] and no product is gathered.
-        `power_sum` builds p in that order and `kernel_order` converts to
-        it. The yielded array is one buffer that the next slope overwrites;
-        copy it to keep it.
+        `power_sum` builds p in that order. The yielded array is one buffer
+        that the next slope overwrites; copy it to keep it.
         """
         _, exp2, log = self._tables()
         n = self.q - 1

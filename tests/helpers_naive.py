@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops,
 a Kakeya verifier that sorts the whole set once per direction, and the
-tests' own views of library objects (packed points, fiber sums).
+tests' own views of library objects (the elements of a field, an array
+in the slope kernel's order, packed points, fiber sums).
 Nothing imports the library's vectorized paths, except a few helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
 sparse sum of monomials to the library's affinity gate; `kernel_bluher`,
@@ -77,6 +78,24 @@ def naive_largest_irreducible(m: int) -> int:
     return next(p for p in range((2 << m) - 1, 1 << m, -2) if naive_is_irreducible(p))
 
 
+def elements(field) -> range:
+    """Every element of the field, in encoding order."""
+    return range(field.q)
+
+
+def kernel_order(field, values) -> np.ndarray:
+    """An array p(x) in encoding order, rearranged into the slope kernel's order.
+
+    That order is x = 0, then g^0, g^1, ..., g^(q-2) for the table
+    generator g, so the unit x goes to position 1 + log x.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    out = np.empty_like(values)
+    out[0] = values[0]
+    out[1 + field.log_table()[1:]] = values[1:]
+    return out
+
+
 @dataclass(frozen=True)
 class SparseExponentSum:
     """x -> sum of c * x^e over (exponent, coefficient) terms."""
@@ -106,11 +125,11 @@ def sparse_values(field, fn: SparseExponentSum) -> np.ndarray:
 
 
 def naive_image(field, fn, t) -> set[int]:
-    return {evaluate(field, fn, x) ^ field.mul(t, x) for x in field.elements()}
+    return {evaluate(field, fn, x) ^ field.mul(t, x) for x in elements(field)}
 
 
 def naive_fiber(field, fn, t) -> dict[int, int]:
-    pre = Counter(evaluate(field, fn, x) ^ field.mul(t, x) for x in field.elements())
+    pre = Counter(evaluate(field, fn, x) ^ field.mul(t, x) for x in elements(field))
     omega = Counter(pre.values())
     missing = field.q - len(pre)
     if missing:
@@ -121,10 +140,10 @@ def naive_fiber(field, fn, t) -> dict[int, int]:
 def naive_curve_pairs(field, t: int) -> int:
     """#{(x, z) : x^2 + z*x = z^3 + z^2 + t} by literal double loop."""
     count = 0
-    for z in field.elements():
+    for z in elements(field):
         z2 = field.mul(z, z)
         rhs = field.mul(z2, z) ^ z2 ^ t
-        for x in field.elements():
+        for x in elements(field):
             if field.mul(x, x) ^ field.mul(z, x) == rhs:
                 count += 1
     return count
@@ -134,7 +153,7 @@ def naive_bluher(field, i: int) -> int:
     e = (1 << i) + 1
     count = 0
     for b in range(1, field.q):
-        if not any(field.pow(x, e) ^ field.mul(b, x) ^ b == 0 for x in field.elements()):
+        if not any(field.pow(x, e) ^ field.mul(b, x) ^ b == 0 for x in elements(field)):
             count += 1
     return count
 
@@ -146,13 +165,13 @@ def kernel_bluher(field, i: int) -> int:
     p(y) = (y + 1)^(2^i+1), and a row with no zero is a b without a root.
     The point y = 0 gives p(0) = 1, never a root.
     """
-    p = field.kernel_order(field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1])
+    p = kernel_order(field, field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1])
     return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
 
 
 def full_sweep_image_sizes(field, fn) -> np.ndarray:
     """|I_f(t)| for every t, one sweep of the field's slope kernel per slope."""
-    sweep = field.slope_sweep(field.power_sum(exponents(field, fn)), field.elements())
+    sweep = field.slope_sweep(field.power_sum(exponents(field, fn)), elements(field))
     return np.array([np.unique(vals).size for _, vals in sweep], dtype=np.int64)
 
 
@@ -165,7 +184,7 @@ def full_sweep_fiber_bad(field) -> list[int]:
     """
     m, q = field.m, field.q
     bad = []
-    for t, vals in field.slope_sweep(field.power_sum((4, 3)), field.elements()):
+    for t, vals in field.slope_sweep(field.power_sum((4, 3)), elements(field)):
         hist = Counter(Counter(vals.tolist()).values())
         if t == 0:
             hist[0] = q - sum(hist.values())
@@ -216,7 +235,7 @@ def naive_has_line(field, pts: set[tuple[int, ...]], d: tuple[int, ...]) -> bool
     for y in pts:
         line_in = all(
             tuple(yc ^ field.mul(s, dc) for yc, dc in zip(y, d)) in pts
-            for s in field.elements())
+            for s in elements(field))
         if line_in:
             return True
     return False

@@ -9,8 +9,9 @@ from kakeyagf.fiber import (Gold, Quartic, fiber_distribution, function_label, i
                             image_values, values_all)
 from kakeyagf.quartic import curve_point_count, fiber_formula_case
 
-from helpers_naive import (SparseExponentSum, evaluate, full_sweep_image_sizes, naive_fiber,
-                           naive_image, naive_irreducibles, total_preimages, total_values)
+from helpers_naive import (SparseExponentSum, elements, evaluate, full_sweep_image_sizes,
+                           naive_fiber, naive_image, naive_irreducibles, total_preimages,
+                           total_values)
 
 
 def test_evaluate_frozen():
@@ -107,7 +108,7 @@ def test_against_scan_oracle(m, fn):
     for modulus in naive_irreducibles(m)[:2]:
         field = make_field(m, modulus)
         sizes = image_sizes_all(field, fn)
-        for t in field.elements():
+        for t in elements(field):
             ref_image = naive_image(field, fn, t)
             assert sizes[t] == len(ref_image)
             assert set(image_values(field, fn, t)) == ref_image
@@ -120,7 +121,7 @@ def test_sum_identities_and_image_size(m):
     fns = [Quartic()] + ([Gold(1)] if m >= 2 else [])
     for fn in fns:
         sizes = image_sizes_all(field, fn)
-        for t in field.elements():
+        for t in elements(field):
             dist = fiber_distribution(field, fn, t)
             assert total_values(dist) == field.q
             assert total_preimages(dist) == field.q

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kakeyagf.field import (Field, frobenius_class_count, is_irreducible, make_field, poly_mod,
-                            smallest_irreducible)
+                            smallest_irreducible, stride_pair)
 
-from helpers_naive import (naive_irreducibles, naive_is_irreducible, naive_mul,
-                           naive_smallest_irreducible)
+from helpers_naive import (elements, kernel_order, naive_irreducibles, naive_is_irreducible,
+                           naive_mul, naive_smallest_irreducible)
 
 
 def test_smallest_irreducible_frozen():
@@ -56,14 +56,14 @@ def test_mul_frozen_examples():
     assert make_field(2).mul(2, 2) == 3  # x*x = x+1 mod x^2+x+1
     assert make_field(3).mul(2, 4) == 3  # x*x^2 = x+1 mod x^3+x+1
     f = make_field(3)
-    assert all(f.mul(1, a) == a for a in f.elements())
+    assert all(f.mul(1, a) == a for a in elements(f))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_mul_matches_naive(m):
     f = make_field(m)
-    for a in f.elements():
-        for b in f.elements():
+    for a in elements(f):
+        for b in elements(f):
             assert f.mul(a, b) == naive_mul(f.modulus, a, b)
 
 
@@ -115,8 +115,8 @@ def test_mul_arrays_matches_scalar():
     f = make_field(5)
     x = np.arange(f.q, dtype=np.int64)
     prod = f.mul_arrays(x[:, None], x[None, :])
-    for a in f.elements():
-        for b in f.elements():
+    for a in elements(f):
+        for b in elements(f):
             assert prod[a, b] == f.mul(a, b)
 
 
@@ -125,13 +125,20 @@ def test_pow_all_matches_scalar(m):
     f = make_field(m)
     for e in (0, 1, 2, 3, (1 << (m // 2)) + 1, f.q - 2):
         assert np.array_equal(f.pow_all(e),
-                              np.array([f.pow(x, e) for x in f.elements()]))
+                              np.array([f.pow(x, e) for x in elements(f)]))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 13))
 def test_power_sum_matches_pow_all(m):
-    # every exponent 0..2q-1, alone and in pairs, both constants: that takes
-    # in 0^0 = 1, e = q - 1 and every e = 0 mod q - 1 (x^e = 1 on the units)
+    # m <= 6, two moduli: every exponent 0..2q-1, alone and in pairs, both
+    # constants; that takes in 0^0 = 1, e = q - 1 and every e = 0 mod q - 1
+    # (x^e = 1 on the units). m = 7..12, one modulus: every e in [0, q - 1)
+    # alone, so every stride pair of the field
+    if m > 6:
+        f = make_field(m)
+        for e in range(f.q - 1):
+            assert np.array_equal(f.power_sum([e]), kernel_order(f, f.pow_all(e))), e
+        return
     for modulus in naive_irreducibles(m, limit=2):
         f = Field(m, modulus)
         exps = range(2 * f.q)
@@ -139,10 +146,33 @@ def test_power_sum_matches_pow_all(m):
         for const in (0, 1):
             for e in exps:
                 assert np.array_equal(f.power_sum([e], const),
-                                      f.kernel_order(powers[e] ^ const)), (modulus, e, const)
+                                      kernel_order(f, powers[e] ^ const)), (modulus, e, const)
                 for e2 in exps[e:]:
                     assert np.array_equal(f.power_sum([e, e2], const),
-                                          f.kernel_order(powers[e] ^ powers[e2] ^ const))
+                                          kernel_order(f, powers[e] ^ powers[e2] ^ const))
+
+
+@pytest.mark.parametrize("m", range(17, 21))
+def test_power_sum_callers_exponents_match_pow_all(m):
+    # the maps that fiber and quartic build, at the degrees no sweep reaches;
+    # pow_all reads the antilog table at log(x)*e mod q - 1, with no strides
+    f = Field(m)
+    q = f.q
+    for e in [3, 4, q // 2 - 1, q - 1, 2 * q + 5] + [(1 << i) + 1 for i in range(m)]:
+        assert np.array_equal(f.power_sum([e]), kernel_order(f, f.pow_all(e))), e
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_stride_pair(m):
+    units = (1 << m) - 1
+    bound = 2 * math.isqrt(units - 1) + 3   # 2 * ceil(sqrt(units)) + 1
+    for e in range(units):
+        a, b = stride_pair(e, units)
+        assert b >= 1 and -units < 2 * a <= units and (a - e * b) % units == 0, (e, a, b)
+        assert abs(a) + b <= bound, (e, a, b)
+        if m <= 6:   # least over every b, against a literal scan
+            costs = [abs((e * c + units // 2) % units - units // 2) + c for c in range(1, units + 1)]
+            assert abs(a) + b == min(costs), (e, a, b)
 
 
 def test_power_sum_edge_cases():
@@ -206,7 +236,7 @@ def test_frobenius_classes(m):
         rep = f.frobenius_classes()
         assert rep is f.frobenius_classes()   # cached
         t = np.arange(f.q)
-        squares = [naive_mul(modulus, a, a) for a in f.elements()]
+        squares = [naive_mul(modulus, a, a) for a in elements(f)]
         assert np.array_equal(rep[rep], rep)
         assert np.array_equal(rep[squares], rep)
         assert np.all(rep <= t)
@@ -234,7 +264,7 @@ def test_frobenius_classes_reject_swapped_exp_entries(m):
 
 def test_trace_abs_frozen():
     f4 = make_field(2)
-    assert [f4.trace_abs(a) for a in f4.elements()] == [0, 0, 1, 1]
+    assert [f4.trace_abs(a) for a in elements(f4)] == [0, 0, 1, 1]
     assert make_field(3).trace_abs(1) == 1
     assert make_field(5).trace_abs(0) == 0
 
@@ -243,7 +273,7 @@ def test_trace_abs_frozen():
 def test_trace_table_matches_scalar(m):
     for modulus in naive_irreducibles(m)[:2]:
         f = make_field(m, modulus)
-        assert f.trace_table().tolist() == [f.trace_abs(a) for a in f.elements()]
+        assert f.trace_table().tolist() == [f.trace_abs(a) for a in elements(f)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
@@ -251,12 +281,12 @@ def test_slope_sweep_matches_scalar(m):
     # every row is the multiset {p(x) + t*x}, p(x) = x^3, on schoolbook products
     for modulus in naive_irreducibles(m)[:2]:
         f = make_field(m, modulus)
-        p = [naive_mul(f.modulus, x, naive_mul(f.modulus, x, x)) for x in f.elements()]
-        sweep = f.slope_sweep(f.kernel_order(p), f.elements())
+        p = [naive_mul(f.modulus, x, naive_mul(f.modulus, x, x)) for x in elements(f)]
+        sweep = f.slope_sweep(kernel_order(f, p), elements(f))
         rows = {t: Counter(vals.tolist()) for t, vals in sweep}
-        assert sorted(rows) == list(f.elements())
+        assert sorted(rows) == list(elements(f))
         for t, got in rows.items():
-            assert got == Counter(p[x] ^ naive_mul(f.modulus, t, x) for x in f.elements())
+            assert got == Counter(p[x] ^ naive_mul(f.modulus, t, x) for x in elements(f))
 
 
 @pytest.mark.parametrize("m", range(1, 14))
@@ -274,7 +304,7 @@ def test_trace_rel_image_is_subfield(m):
     s = 1 << (m // 2)
     x = np.arange(f.q, dtype=np.int64)
     rel = f.pow_all(s) ^ x
-    subfield = {u for u in f.elements() if f.pow(u, s) == u}
+    subfield = {u for u in elements(f) if f.pow(u, s) == u}
     assert set(rel.tolist()) == subfield
     for u in sorted(subfield)[:4]:
         assert np.array_equal(rel[f.mul_arrays(u, x)], f.mul_arrays(u, rel))
