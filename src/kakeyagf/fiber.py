@@ -3,15 +3,17 @@
 For a map f and slope t, the image set I_f(t) = {f(x) + t*x : x in F_q}
 and the fiber histogram omega_t(k) = #{y : exactly k preimages} are the
 raw material every closed-form count in this package is checked against.
-Each map is a sum of powers of x, and `exponents` names them once. The
-values f(x) + t*x come from `Field.slope_sweep` on the map that
-`Field.power_sum` builds in the kernel's order; per slope they are
-reduced to a q-slot bitmap or count array, so a single slope costs O(q)
-time and space. Both families sum powers of x with coefficients in GF(2),
-so every slope of a Frobenius class {t, t^2, t^4, ...} has the same image
-size (`Field.frobenius_classes` checks the squaring this rests on), and
-the sizes of all t cost one O(q) pass per class: about q^2/m in all.
-`values_all` gives f in encoding order, for the callers that index it by x.
+Each map is a sum of powers of x, and `exponents` names them once. For
+one slope, `Field.power_sum` builds f(x) + t*x in the kernel's order in
+one buffer; for many, `Field.slope_sweep` adds t*x to the map it built
+without a slope. Per slope the values are reduced to a q-slot bitmap or
+count array, so a single slope costs O(q) time and space. Both families
+sum powers of x with coefficients in GF(2), so every slope of a
+Frobenius class {t, t^2, t^4, ...} has the same image size
+(`Field.frobenius_classes` checks the squaring this rests on), and the
+sizes of all t cost one O(q) pass per class: about q^2/m in all.
+`values_all` gives f in encoding order, for the callers that index it by x,
+by one scatter of the map (`Field.encoding_order`).
 """
 
 from __future__ import annotations
@@ -52,11 +54,8 @@ def exponents(field: Field, fn: FunctionSpec) -> tuple[int, ...]:
 
 
 def values_all(field: Field, fn: FunctionSpec) -> np.ndarray:
-    """f(x) for every x in encoding order."""
-    out = np.zeros(field.q, dtype=np.int64)
-    for e in exponents(field, fn):
-        out ^= field.pow_all(e)
-    return out
+    """f(x) for every x in encoding order: one map, one scatter."""
+    return field.encoding_order(field.power_sum(exponents(field, fn)))
 
 
 def slope_values(field: Field, fn: FunctionSpec, ts):
@@ -80,9 +79,8 @@ class FiberDistribution:
 
 
 def _g_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
-    """f(x) + t*x for every x, in the kernel's order."""
-    (_, vals), = slope_values(field, fn, [t])
-    return vals
+    """f(x) + t*x for every x, in the kernel's order, built in one buffer."""
+    return field.power_sum(exponents(field, fn), slope=t)
 
 
 def image_sets(field: Field, fn: FunctionSpec, ts):
@@ -96,8 +94,9 @@ def image_sets(field: Field, fn: FunctionSpec, ts):
 
 def image_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
     """Sorted values of x -> f(x) + t*x, as an int64 array."""
-    (_, vals), = image_sets(field, fn, [t])
-    return vals
+    seen = np.zeros(field.q, dtype=bool)
+    seen[_g_values(field, fn, t)] = True
+    return np.flatnonzero(seen)
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:

@@ -14,22 +14,28 @@ modulus.
 
 Scalar operations are carry-less multiply/reduce on ints. Bulk operations
 (`mul_arrays`, `pow_all`) work on numpy arrays through discrete
-log/antilog tables built lazily from a multiplicative generator g (the
+log/antilog tables built lazily from a multiplicative generator g: the
 antilog table by doubling, in O(log q) rounds that each multiply by a
-fixed power of g through ceil(m/8) 256-entry byte tables built from
-scalar `mul`; the log table by one scatter over it, which also checks
-that the walk reached every unit), and `trace_table` is built by
-doubling from the traces of the basis elements.
+fixed power of g through two tables of at most 2^ceil(m/2) entries, one
+per half of the bits, spanned from the columns g^n*x^b; the log table by a
+chunked scatter over it, which also checks that the walk reached every
+unit. `xor_span` extends a GF(2)-linear map from its values on the basis
+elements 2^k by doubling in place; it builds those half tables, the
+bool `trace_table` from the traces of the basis elements, and the
+additivity check of `frobenius_classes`.
 `slope_sweep` is the one kernel behind every full-slope sweep in the
 other modules: it yields p(x) + t*x over all x for each slope t, walking
 x in discrete-log order so that t*x is a contiguous slice of the antilog
 table. Its input p runs in that order too: `power_sum` builds a sum of
-powers in it with no log lookup and no index array over the field. For
-x = g^k, the log k*e of x^e steps by a along k = r, r + b, r + 2b, ...,
-where a = e*b mod q - 1 is taken near 0 (`stride_pair` picks the b that
-makes |a| + b least), so each term is a few strided slices of the
-antilog table, never more than about 2*sqrt(q). This module is the only
-one that knows that order. `frobenius_classes` maps every slope to the
+powers in it with no log lookup and no index array over the field, plus
+the linear term t*x of one slope, so that a single-slope query needs no
+sweep. For x = g^k, the log k*e of x^e steps by a along
+k = r, r + b, r + 2b, ..., where a = e*b mod q - 1 is taken near 0
+(`stride_pair` picks the b that makes |a| + b least), so each term is a
+few strided slices of the antilog table, never more than about
+2*sqrt(q). `encoding_order` scatters such a map back to encoding order,
+which is how `pow_all` is built. This module is the only one that knows
+the kernel's order. `frobenius_classes` maps every slope to the
 least element of its class {t, t^2, t^4, ...}, once squaring has been
 checked GF(2)-additive in the tables; a map with coefficients in GF(2)
 has the same image size and fiber histogram at every slope of a class,
@@ -46,6 +52,7 @@ import math
 import numpy as np
 
 MAX_DEGREE = 20
+LOG_CHUNK = 1 << 16  # antilog entries scattered into the log table at once
 
 
 def poly_mod(a: int, b: int) -> int:
@@ -113,6 +120,20 @@ def stride_pair(e: int, units: int) -> tuple[int, int]:
             best, best_cost = (a, b), abs(a) + b
         b += 1
     return best
+
+
+def xor_span(basis, out: np.ndarray) -> np.ndarray:
+    """Fill out[x] with the XOR of basis[k] over the set bits k of x; return out.
+
+    This extends a GF(2)-linear map from its values on the basis elements
+    2^k, by doubling in place: out[2^k:2^(k+1)] = out[:2^k] ^ basis[k].
+    out must have 2^len(basis) entries; for a map into GF(2) it may be
+    bool, with bool basis values.
+    """
+    out[0] = 0
+    for k, b in enumerate(basis):
+        np.bitwise_xor(out[:1 << k], b, out=out[1 << k:2 << k])
+    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -207,31 +228,45 @@ class Field:
         """(exp, exp2, log), built once; exp is the view exp2[:q - 1].
 
         exp is filled by doubling, exp[n:2n] = g^n * exp[:n], the last round
-        cut at q - 1. Multiplying by a fixed c is GF(2)-linear, so c*a is the
-        XOR of c*(byte j of a)*x^(8j) over the bytes of a: each round builds
-        ceil(m/8) 256-entry tables, by doubling from the columns c*x^b of
-        scalar `mul`, and does one lookup per byte.
+        cut at q - 1. Multiplying by a fixed c is GF(2)-linear, so c*a is
+        c*(low h bits of a) + c*(high bits of a), h = ceil(m/2): each round
+        spans two tables of at most 2^h entries from the columns c*x^b
+        (each column the last times x) and does one lookup per half. log is scattered from
+        exp in chunks of 2^16 entries; a unit it never reaches keeps the -1
+        fill, so the walk must cover the unit group.
         """
         if self._exp is None:
-            q, units = self.q, self.q - 1
+            m, q, units = self.m, self.q, self.q - 1
             g = 1 if q == 2 else self._find_generator()
-            exp2 = np.zeros(2 * units, dtype=np.int64)
+            exp2 = np.empty(2 * units, dtype=np.int64)
             exp = exp2[:units]
             exp[0] = 1
+            h = (m + 1) // 2
+            mask = (1 << h) - 1
+            lo = np.empty(1 << h, dtype=np.int64)       # c * a for a < 2^h
+            hi = np.empty(1 << (m - h), dtype=np.int64)  # c * (a << h)
             n, c = 1, g  # exp[:n] is filled and c = g^n
             while n < units:
                 src = exp[:min(n, units - n)]
                 dst = exp[n:n + len(src)]
-                for lo in range(0, self.m, 8):
-                    bits = min(8, self.m - lo)
-                    table = np.zeros(1 << bits, dtype=np.int64)  # c * (byte << lo)
-                    for b in range(bits):
-                        table[1 << b:2 << b] = table[:1 << b] ^ self.mul(c, 1 << (lo + b))
-                    dst ^= table[(src >> lo) & ((1 << bits) - 1)]
+                cols = [c]  # c * x^b: each is the last times x, one shift and reduction
+                for _ in range(m - 1):
+                    v = cols[-1] << 1
+                    cols.append(v ^ self.modulus if v >> m else v)
+                xor_span(cols[:h], lo)
+                xor_span(cols[h:], hi)
+                idx = exp2[units:units + len(src)]  # scratch; the copy of exp comes last
+                np.bitwise_and(src, mask, out=idx)
+                dst[:] = lo[idx]
+                np.right_shift(src, h, out=idx)
+                dst ^= hi[idx]
                 n += len(src)
                 c = self.mul(c, c)
             log = np.full(q, -1, dtype=np.int64)
-            log[exp] = np.arange(units)
+            step = np.arange(min(units, LOG_CHUNK), dtype=np.int64)
+            for start in range(0, units, LOG_CHUNK):
+                chunk = exp[start:start + LOG_CHUNK]
+                log[chunk] = step[:len(chunk)] + start
             # q - 1 entries that reach every unit hit each once and none is 0
             if log[1:].min() < 0:
                 raise ArithmeticError("generator walk did not cover the unit group")
@@ -252,14 +287,18 @@ class Field:
 
     def pow_all(self, e: int) -> np.ndarray:
         """x^e for every x in encoding order; pow_all(0) is all ones."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        q = self.q
-        if e == 0:
-            return np.ones(q, dtype=np.int64)
-        exp, _, log = self._tables()
-        out = np.zeros(q, dtype=np.int64)
-        out[1:] = exp[(log[1:] * e) % (q - 1)]
+        return self.encoding_order(self.power_sum([e]))
+
+    def encoding_order(self, p) -> np.ndarray:
+        """p in the kernel's order (as `power_sum` builds it), rearranged by x.
+
+        Entry 1 + k of p is the value at g^k, so one scatter through the
+        antilog table puts it at index exp[k].
+        """
+        exp = self._tables()[0]
+        out = np.empty(self.q, dtype=np.int64)
+        out[0] = p[0]
+        out[exp] = p[1:]
         return out
 
     def log_table(self) -> np.ndarray:
@@ -267,19 +306,17 @@ class Field:
         return self._tables()[2]
 
     def trace_table(self) -> np.ndarray:
-        """trace_abs of every element, cached.
+        """trace_abs of every element as a bool array, cached.
 
-        The trace is GF(2)-linear, so it is built by doubling:
-        Tr(x + 2^k) = Tr(x) + Tr(2^k) for every x below 2^k.
+        The trace is GF(2)-linear, so `xor_span` builds it from the traces
+        of the basis elements 2^k. Bool takes an eighth of int64's memory
+        and promotes to int64 in arithmetic with Python ints.
         """
         if self._trace is None:
             basis = [self.trace_abs(1 << k) for k in range(self.m)]
             if any(b >> 1 for b in basis):
                 raise ArithmeticError("trace values escaped {0, 1}")
-            tr = np.zeros(self.q, dtype=np.int64)
-            for k, b in enumerate(basis):
-                tr[1 << k:2 << k] = tr[:1 << k] ^ b
-            self._trace = tr
+            self._trace = xor_span([bool(b) for b in basis], np.empty(self.q, dtype=bool))
         return self._trace
 
     def frobenius_classes(self) -> np.ndarray:
@@ -296,9 +333,7 @@ class Field:
         if self._frobenius is None:
             x = np.arange(self.q, dtype=np.int64)
             sq = self.mul_arrays(x, x)
-            ext = np.zeros(self.q, dtype=np.int64)
-            for j in range(self.m):
-                ext[1 << j:2 << j] = ext[:1 << j] ^ sq[1 << j]
+            ext = xor_span(sq[1 << np.arange(self.m)], np.empty_like(sq))
             if not np.array_equal(ext, sq):
                 raise ArithmeticError("squaring is not GF(2)-additive in the field tables")
             rep, orbit = x.copy(), x
@@ -308,21 +343,30 @@ class Field:
             self._frobenius = rep
         return self._frobenius
 
-    def power_sum(self, exponents, const: int = 0) -> np.ndarray:
-        """p(x) = const + sum of x^e over exponents, in the kernel's order.
+    def power_sum(self, exponents, const: int = 0, slope: int = 0) -> np.ndarray:
+        """p(x) = const + slope*x + sum of x^e over exponents, in the kernel's order.
 
-        Entry 0 is p(0), with 0^0 = 1, and entry 1 + k is p(g^k), whose term
-        is g^(k*e). With (a, b) = stride_pair(e, q - 1), the logs k*e along
-        k = r, r + b, r + 2b, ... step by a, so out[1 + r::b] takes a run of
-        slices of the doubled antilog table in stride a: ascending from
-        below q - 1 for a > 0, descending from q - 1 or above for a < 0.
-        For a = 0 the residue class is constant, and one broadcast over a
-        (q - 1)/b by b view covers every r. No log lookup, and no index
-        array longer than b.
+        Entry 0 is p(0), with 0^0 = 1, and entry 1 + k is p(g^k). The
+        linear term there is g^(log slope + k), the contiguous slice
+        exp2[log slope : log slope + q - 1] that `slope_sweep` reads, so a
+        single-slope query builds its one map here, in one buffer. The
+        power term is g^(k*e). With (a, b) = stride_pair(e, q - 1), the
+        logs k*e along k = r, r + b, r + 2b, ... step by a, so out[1 + r::b]
+        takes a run of slices of the doubled antilog table in stride a:
+        ascending from below q - 1 for a > 0, descending from q - 1 or
+        above for a < 0. For a = 0 the residue class is constant, and one
+        broadcast over a (q - 1)/b by b view covers every r. No log lookup
+        beyond the slope's, and no index array longer than b.
         """
-        _, exp2, _ = self._tables()
+        _, exp2, log = self._tables()
         units = self.q - 1
-        out = np.full(self.q, const, dtype=np.int64)
+        out = np.empty(self.q, dtype=np.int64)
+        out[0] = const
+        if slope:
+            k = log[slope]
+            np.bitwise_xor(exp2[k:k + units], const, out=out[1:])
+        else:
+            out[1:] = const
         for e in exponents:
             if e < 0:
                 raise ValueError("exponent must be nonnegative")

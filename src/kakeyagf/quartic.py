@@ -13,8 +13,8 @@ quadratic in x, Tr((z^3 + z^2 + t)/z^2) = 0. With w = z^-2, a bijection of
 the units, that argument is p(w) + t*w with p(w) = w^(q/2-1) + 1, so v(t)
 counts the w with Tr(p(w) + t*w) = 0. There are two routes to it:
 
-- one slope at a time, a sweep of the field's slope kernel plus a trace
-  lookup, O(q) per slope (`curve_point_count`);
+- one slope at a time, the map p(w) + t*w from `Field.power_sum` plus a
+  trace lookup, O(q) per slope (`curve_point_count`);
 - every slope at once, one integer Walsh-Hadamard transform of
   (-1)^Tr(p(w)), O(q log q) for the whole field (`sharpness_search` and
   the formula path of `image_exact_case`). Tr(t*w) is the parity of
@@ -34,7 +34,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 
-from .field import Field, exact_div, frobenius_class_count, make_field
+from .field import Field, exact_div, frobenius_class_count, make_field, xor_span
 from .fiber import FiberDistribution, Quartic, fiber_distribution, image_sizes_all, slope_values
 from .parallel import run_cases
 
@@ -95,45 +95,30 @@ class SharpnessResult:
     sharp: bool
 
 
-def _curve_counts(field: Field, ts) -> np.ndarray:
-    """v(t) for each slope in ts: one kernel sweep, then a trace count.
-
-    The sweep runs over w = z^-2, whose w = 0 entry stands for no z and is
-    taken back out of each count.
-    """
-    zero_trace = field.trace_table() == 0
-    p = field.power_sum([field.q // 2 - 1], const=1)   # w^(q/2-1) + 1
-    skip = int(zero_trace[p[0]])
-    return np.array([1 + 2 * (int(np.count_nonzero(zero_trace[vals])) - skip)
-                     for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)
-
-
 def _curve_counts_all(field: Field) -> np.ndarray:
     """v(t) for every slope t in encoding order, by one Walsh-Hadamard transform.
 
     S is the integer transform of (-1)^Tr(p(w)): m in-place butterfly
     passes. The count of w with Tr(p(w) + t*w) = 0 is (q + S[L(t)]) / 2,
-    where L(t) has bit k = Tr(t*2^k); L is GF(2)-linear, so it is extended
-    by doubling from the basis values Tr(2^j*2^k), read from the trace
-    table. As in `_curve_counts`, w = 0 stands for no z and is taken back
-    out.
+    where L(t) has bit k = Tr(t*2^k); L is GF(2)-linear, so `xor_span`
+    extends it from the basis values Tr(2^j*2^k), read from the trace
+    table. As in `curve_point_count`, w = 0 stands for no z and is taken
+    back out.
     """
     m, q = field.m, field.q
     tr = field.trace_table()
-    p = field.pow_all(q // 2 - 1) ^ 1   # w^(q/2-1) + 1
-    s = 1 - 2 * tr[p]                   # (-1)^Tr(p(w))
+    p = field.encoding_order(field.power_sum([q // 2 - 1], const=1))   # w^(q/2-1) + 1
+    s = 1 - 2 * tr[p]                   # (-1)^Tr(p(w)); bool promotes to int64
     for k in range(m):
         pairs = s.reshape(-1, 2, 1 << k)  # axis 1 is bit k of the index
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi
         hi *= -2
         hi += lo                          # (lo + hi) - 2*hi = lo - hi
-    lin = np.zeros(q, dtype=np.int64)
-    for j in range(m):
-        basis = sum(int(tr[field.mul(1 << j, 1 << k)]) << k for k in range(m))
-        lin[1 << j:2 << j] = lin[:1 << j] ^ basis
+    basis = [sum(int(tr[field.mul(1 << j, 1 << k)]) << k for k in range(m)) for j in range(m)]
+    lin = xor_span(basis, np.empty(q, dtype=np.int64))
     zeros = exact_div(q + s[lin], 2)
-    return 1 + 2 * (zeros - int(tr[p[0]] == 0))
+    return 1 + 2 * (zeros - int(not tr[p[0]]))
 
 
 def _size_from_count(q: int, v, delta):
@@ -147,8 +132,11 @@ def curve_point_count(field: Field, t: int) -> CurvePointCount:
     t = 0 is allowed for diagnostics, but the curve may degenerate there,
     so no near-q guarantee on v is implied for it.
     """
-    v = int(_curve_counts(field, [t])[0])
-    return CurvePointCount(t=t, v=v, delta=field.trace_abs(t))
+    tr = field.trace_table()
+    p = field.power_sum([field.q // 2 - 1], const=1, slope=t)   # w^(q/2-1) + 1 + t*w
+    # w = 0 stands for no z: its entry is taken back out of the zero-trace count
+    zeros = field.q - int(np.count_nonzero(tr[p])) - int(not tr[p[0]])
+    return CurvePointCount(t=t, v=1 + 2 * zeros, delta=field.trace_abs(t))
 
 
 def quartic_floor_bound(m: int) -> int:

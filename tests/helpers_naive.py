@@ -9,8 +9,10 @@ Nothing imports the library's vectorized paths, except a few helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
 sparse sum of monomials to the library's affinity gate; `kernel_bluher`,
 the O(q^2) scan of every (b, x) on the field's slope kernel, kept as the
-cross-check of the library's O(q) count; and `full_sweep_image_sizes`
-and `full_sweep_fiber_bad`, the O(q^2) sweeps of every slope that the
+cross-check of the library's O(q) count; `kernel_curve_counts`, the
+curve counts of many slopes from one kernel sweep, which the library's
+Walsh-Hadamard counts are held to; and `full_sweep_image_sizes` and
+`full_sweep_fiber_bad`, the O(q^2) sweeps of every slope that the
 library's one-slope-per-Frobenius-class checks are held to.
 """
 
@@ -167,6 +169,20 @@ def kernel_bluher(field, i: int) -> int:
     """
     p = kernel_order(field, field.pow_all((1 << i) + 1)[np.arange(field.q) ^ 1])
     return sum(1 for _, vals in field.slope_sweep(p, range(1, field.q)) if vals.all())
+
+
+def kernel_curve_counts(field, ts) -> np.ndarray:
+    """v(t) for each slope in ts: one sweep of the field's slope kernel, then a
+    count of zero traces among w^(q/2-1) + 1 + t*w.
+
+    The sweep runs over w = z^-2, whose w = 0 entry stands for no z and is
+    taken back out of each count.
+    """
+    zero_trace = field.trace_table() == 0
+    p = field.power_sum([field.q // 2 - 1], const=1)   # w^(q/2-1) + 1
+    skip = int(zero_trace[p[0]])
+    return np.array([1 + 2 * (int(np.count_nonzero(zero_trace[vals])) - skip)
+                     for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)
 
 
 def full_sweep_image_sizes(field, fn) -> np.ndarray:

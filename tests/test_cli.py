@@ -173,6 +173,30 @@ def test_all_image_exact_checks_every_slope_at_13(workers, monkeypatch, capsys):
     assert all(checks.values()) and code == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_all_kakeya_construction_checks_block_count(workers, monkeypatch, capsys):
+    # a closed-form total one too large disagrees with the enumerated blocks:
+    # a FAIL row of kakeya-construction alone, not a traceback
+    closed_form = kakeya.kakeya_size_from_images
+    monkeypatch.setattr(kakeya, "kakeya_size_from_images",
+                        lambda image_sizes, n: closed_form(image_sizes, n) + 1)
+    code = main(["all", "--m-max", "4", "--format", "json", "-j", workers])
+    checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks.pop("kakeya-construction") is False
+    assert all(checks.values()) and code == 1
+
+
+def test_kakeya_verb_checks_block_count(monkeypatch, capsys):
+    closed_form = kakeya.kakeya_size_from_images
+    monkeypatch.setattr(kakeya, "kakeya_size_from_images",
+                        lambda image_sizes, n: closed_form(image_sizes, n) + 1)
+    assert main(["kakeya", "--m", "2", "--n", "2", "--f", "gold:1", "--check",
+                 "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert "block enumeration counts 15 tuples, the closed form 16" in out.err
+    assert json.loads(out.out)["kakeya_verified"] is True
+
+
 def test_quartic_verb():
     r = run_cli("quartic", "--m", "3", "--format", "json")
     assert r.returncode == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kakeyagf.field import (Field, frobenius_class_count, is_irreducible, make_field, poly_mod,
-                            smallest_irreducible, stride_pair)
+                            smallest_irreducible, stride_pair, xor_span)
 
 from helpers_naive import (elements, kernel_order, naive_irreducibles, naive_is_irreducible,
                            naive_mul, naive_smallest_irreducible)
@@ -130,19 +130,28 @@ def test_pow_all_matches_scalar(m):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_power_sum_matches_pow_all(m):
-    # m <= 6, two moduli: every exponent 0..2q-1, alone and in pairs, both
-    # constants; that takes in 0^0 = 1, e = q - 1 and every e = 0 mod q - 1
-    # (x^e = 1 on the units). m = 7..12, one modulus: every e in [0, q - 1)
-    # alone, so every stride pair of the field
+    # power_sum and pow_all against powers built apart from both, x^e as
+    # x^(e-1)*x. m <= 6, two moduli, schoolbook products: every exponent
+    # 0..2q-1, alone and in pairs, both constants; that takes in 0^0 = 1,
+    # e = q - 1 and every e = 0 mod q - 1 (x^e = 1 on the units). m = 7..12,
+    # one modulus, table products: every e in [0, q - 1) alone, so every
+    # stride pair of the field
     if m > 6:
         f = make_field(m)
+        x = np.arange(f.q, dtype=np.int64)
+        power = np.ones(f.q, dtype=np.int64)
         for e in range(f.q - 1):
-            assert np.array_equal(f.power_sum([e]), kernel_order(f, f.pow_all(e))), e
+            assert np.array_equal(f.power_sum([e]), kernel_order(f, power)), e
+            assert np.array_equal(f.pow_all(e), power), e
+            power = f.mul_arrays(power, x)
         return
     for modulus in naive_irreducibles(m, limit=2):
         f = Field(m, modulus)
         exps = range(2 * f.q)
-        powers = [f.pow_all(e) for e in exps]
+        powers = [[1] * f.q]
+        for e in exps[1:]:
+            powers.append([naive_mul(modulus, p, x) for x, p in enumerate(powers[-1])])
+        powers = [np.array(p, dtype=np.int64) for p in powers]
         for const in (0, 1):
             for e in exps:
                 assert np.array_equal(f.power_sum([e], const),
@@ -150,16 +159,62 @@ def test_power_sum_matches_pow_all(m):
                 for e2 in exps[e:]:
                     assert np.array_equal(f.power_sum([e, e2], const),
                                           kernel_order(f, powers[e] ^ powers[e2] ^ const))
+        for e in exps:
+            assert np.array_equal(f.pow_all(e), powers[e]), (modulus, e)
 
 
 @pytest.mark.parametrize("m", range(17, 21))
 def test_power_sum_callers_exponents_match_pow_all(m):
-    # the maps that fiber and quartic build, at the degrees no sweep reaches;
-    # pow_all reads the antilog table at log(x)*e mod q - 1, with no strides
+    # the maps that fiber and quartic build, at the degrees no sweep reaches,
+    # against scalar square-and-multiply at sampled points: entry 1 + k of
+    # power_sum is the value at g^k, pow_all's entry x the value at x
     f = Field(m)
     q = f.q
+    g = f._find_generator()
+    rng = np.random.default_rng(m)
+    ks = rng.integers(0, q - 1, size=24).tolist()
+    xs = [f.pow(g, k) for k in ks]
+    t = int(rng.integers(1, q))
     for e in [3, 4, q // 2 - 1, q - 1, 2 * q + 5] + [(1 << i) + 1 for i in range(m)]:
-        assert np.array_equal(f.power_sum([e]), kernel_order(f, f.pow_all(e))), e
+        p, enc = f.power_sum([e]), f.pow_all(e)
+        assert p[0] == enc[0] == 0, e
+        for k, x in zip(ks, xs):
+            assert p[1 + k] == enc[x] == f.pow(x, e), (e, k)
+    p = f.power_sum([4, 3], slope=t)   # a quartic query's map
+    for k, x in zip(ks, xs):
+        assert p[1 + k] == f.pow(x, 4) ^ f.pow(x, 3) ^ f.mul(t, x), k
+    p = f.power_sum([q // 2 - 1], const=1, slope=t)   # a curve count's map
+    assert p[0] == 1
+    for k, x in zip(ks, xs):
+        assert p[1 + k] == f.pow(x, q // 2 - 1) ^ 1 ^ f.mul(t, x), k
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_power_sum_slope_matches_sweep(m):
+    # the one-buffer map of a single-slope query is the row the kernel gives
+    # that slope, for every t, the callers' maps and both moduli
+    for modulus in naive_irreducibles(m, limit=2):
+        f = Field(m, modulus)
+        maps = [((4, 3), 0), ((f.q // 2 - 1,), 1)] + [(((1 << i) + 1,), 0) for i in range(m)]
+        for exps, const in maps:
+            p = f.power_sum(exps, const)
+            for t, row in f.slope_sweep(p, elements(f)):
+                assert np.array_equal(f.power_sum(exps, const, slope=t), row), (modulus, exps, t)
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_xor_span_matches_bitwise_sum(m):
+    rng = np.random.default_rng(m)
+    basis = rng.integers(0, 1 << 20, size=m).tolist()
+    out = xor_span(basis, np.full(1 << m, -1, dtype=np.int64))
+    for x in range(1 << m):
+        want = 0
+        for k in range(m):
+            if x >> k & 1:
+                want ^= basis[k]
+        assert out[x] == want, x
+    bits = xor_span([bool(b & 1) for b in basis], np.ones(1 << m, dtype=bool))
+    assert bits.dtype == bool and np.array_equal(bits, out & 1)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -185,6 +240,8 @@ def test_power_sum_edge_cases():
     assert f4.power_sum([1]).tolist() == [0, 1, g, f4.mul(g, g)]   # entry 1 + k is g^k
     with pytest.raises(ValueError):
         f4.power_sum([-1])
+    with pytest.raises(ValueError):
+        f4.pow_all(-1)
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -203,12 +260,16 @@ def test_tables_match_scalar_walk(m):
 
 
 def test_tables_large_field_spot():
-    f = make_field(20)
-    exp, _, log = f._tables()
-    g = f._find_generator()
-    for k in np.random.default_rng(20).integers(0, f.q - 1, size=256).tolist():
-        assert exp[k] == f.pow(g, k)
-        assert log[exp[k]] == k
+    # every degree above the exhaustive walk, so both the odd-m and the
+    # even-m split of the doubling's half tables are checked at sampled points
+    for m in range(15, 21):
+        f = make_field(m)
+        exp, exp2, log = f._tables()
+        g = f._find_generator()
+        assert np.array_equal(exp2[f.q - 1:], exp)
+        for k in np.random.default_rng(m).integers(0, f.q - 1, size=256).tolist():
+            assert exp[k] == f.pow(g, k)
+            assert log[exp[k]] == k
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
@@ -273,7 +334,9 @@ def test_trace_abs_frozen():
 def test_trace_table_matches_scalar(m):
     for modulus in naive_irreducibles(m)[:2]:
         f = make_field(m, modulus)
-        assert f.trace_table().tolist() == [f.trace_abs(a) for a in elements(f)]
+        tr = f.trace_table()
+        assert tr.dtype == bool
+        assert tr.tolist() == [bool(f.trace_abs(a)) for a in elements(f)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])

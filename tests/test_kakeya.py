@@ -84,20 +84,21 @@ def test_build_gf4_gold1():
 
 @pytest.mark.parametrize("m,n", [(4, 2), (5, 2), (6, 2)])
 def test_build_reads_every_image_set_from_one_sweep(m, n, monkeypatch):
-    # one map for the class-reduced sizes, one for the sweep of every slope's
-    # image set: two maps per set, not one per slope
+    # one map for the affine gate's values, one for the class-reduced sizes and
+    # one for the sweep of every slope's image set: three maps per set, not
+    # one per slope
     maps = []
     power_sum = Field.power_sum
 
-    def counting(self, exponents, const=0):
+    def counting(self, exponents, const=0, slope=0):
         maps.append(tuple(exponents))
-        return power_sum(self, exponents, const)
+        return power_sum(self, exponents, const, slope)
 
     monkeypatch.setattr(Field, "power_sum", counting)
     field = make_field(m)
     fn = _parity_map(m)
     ks = build_kakeya(field, n, fn)
-    assert len(maps) == 2
+    assert len(maps) == 3
     ref = naive_kakeya_points(field, n, {t: naive_image(field, fn, t) for t in range(field.q)})
     assert set(ks.points.tolist()) == {pack_point(p, m) for p in ref}
 
@@ -112,7 +113,7 @@ def test_build_dimension_one():
 
 def test_build_cap():
     ks = build_kakeya(make_field(2), 2, Gold(1), materialize_cap=10)
-    assert ks.points is None and ks.size == 15
+    assert ks.points is None and ks.block_count is None and ks.size == 15
     with pytest.raises(ValueError):
         verify_kakeya(ks)
 
@@ -220,7 +221,7 @@ def test_gold1_constructions_verify(m, n):
     field = make_field(m)
     ks = build_kakeya(field, n, Gold(1))
     assert verify_kakeya(ks).ok
-    assert ks.size == kakeya_size_from_images(ks.image_sizes, n)
+    assert ks.size == kakeya_size_from_images(ks.image_sizes, n) == ks.block_count
     assert ks.distinct_point_count <= ks.size
 
 

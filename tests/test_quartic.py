@@ -6,14 +6,14 @@ import pytest
 
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Quartic, fiber_distribution, image_values
-from kakeyagf.quartic import (_curve_counts, _curve_counts_all, curve_point_count,
+from kakeyagf.quartic import (_curve_counts_all, curve_point_count,
                               fiber_formula_case, floor_bound_consistency, image_record,
                               omega0_distribution, omega1_formula, omega3_formula,
                               quartic_floor_bound, sharpness_search)
 
 from kakeyagf import quartic
-from helpers_naive import (elements, full_sweep_fiber_bad, naive_curve_pairs, naive_image,
-                           naive_irreducibles, naive_largest_irreducible)
+from helpers_naive import (elements, full_sweep_fiber_bad, kernel_curve_counts, naive_curve_pairs,
+                           naive_image, naive_irreducibles, naive_largest_irreducible)
 
 
 def test_omega1_frozen():
@@ -85,18 +85,21 @@ def test_curve_count_matches_pair_enumeration(m):
 def test_all_slope_curve_counts_second_modulus(m):
     field = make_field(m, naive_irreducibles(m)[1])
     expected = [naive_curve_pairs(field, t) for t in elements(field)]
-    assert _curve_counts(field, elements(field)).tolist() == expected
+    assert kernel_curve_counts(field, elements(field)).tolist() == expected
     assert _curve_counts_all(field).tolist() == expected
 
 
 @pytest.mark.parametrize("m", range(1, 14))
 def test_transform_counts_match_kernel(m):
-    # every slope, and under the largest-encoding modulus at m = 7, 9, 11
+    # every slope, and under the largest-encoding modulus at m = 7, 9, 11;
+    # the single-slope count, which builds its own map, at three slopes
     moduli = [None] + ([naive_largest_irreducible(m)] if m in (7, 9, 11) else [])
     for modulus in moduli:
         field = make_field(m, modulus)
-        assert np.array_equal(_curve_counts_all(field),
-                              _curve_counts(field, elements(field)))
+        counts = _curve_counts_all(field)
+        assert np.array_equal(counts, kernel_curve_counts(field, elements(field)))
+        for t in {1, field.q // 2, field.q - 1}:
+            assert curve_point_count(field, t).v == counts[t], t
 
 
 def test_curve_count_gf2():
