@@ -283,9 +283,10 @@ def _stage_rows(m_max: int, workers: int) -> list[tuple[str, list]]:
     One worker calls the seven sweeps in turn, so that each stage's time
     can be traced through its sweep. More run the cases of all seven
     through one set of forked workers, costliest first: the workers
-    inherit the cases, stream each result back over a pipe, and each
-    stage gets its rows back in case order. Where `fork` is unavailable
-    the cases run in this process.
+    inherit the cases, claim them one at a time and pickle each result
+    into a temporary file of their own, and each stage gets its rows back
+    in case order. Where `fork` is unavailable the cases run in this
+    process.
     """
     swept = [
         ("bluher-agreement", bluher.agreement_sweep, bluher.agreement_cases, (min(12, m_max),)),

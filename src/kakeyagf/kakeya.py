@@ -9,10 +9,9 @@ containing a line in every direction:
 For a direction whose last nonzero coordinate sits at position j+1 and is
 scaled to 1, say (b_1, ..., b_j, 1, 0, ..., 0), the full line through
 (f(b_1), ..., f(b_j), 0, ..., 0) lies inside K, because f(b_i) + t*b_i is
-in I_f(t) for every t. Directions are canonicalized here with the *first*
-nonzero coordinate scaled to 1, which costs one inversion per vector; the
-verifier is exhaustive either way and is the ground truth for the
-construction.
+in I_f(t) for every t. The verifier enumerates each direction with its
+*first* nonzero coordinate 1 instead, so no scaling is needed; it is
+exhaustive either way and is the ground truth for the construction.
 
 Size accounting: the per-(j, t) blocks contain exactly |I_f(t)|^j tuples
 each, for a block total of sum_t sum_j |I_f(t)|^j, the geometric-series
@@ -32,7 +31,6 @@ direction is in K, one scalar at a time. It never looks at f.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,14 +130,6 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     keep = np.ones(s.size, dtype=bool)
     keep[1:] = s[1:] != s[:-1]
     return s[keep]
-
-
-def canonical_directions(q: int, n: int) -> list[tuple[int, ...]]:
-    """One representative per direction, first nonzero coordinate scaled to 1."""
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
-    return [(0,) * lead + (1,) + rest
-            for lead in range(n) for rest in itertools.product(range(q), repeat=n - 1 - lead)]
 
 
 @dataclass

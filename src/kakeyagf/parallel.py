@@ -4,12 +4,10 @@ Results come back in submission order whatever the worker count, so any
 report assembled from them is byte-identical across parallelism settings.
 
 With more than one worker, `parallel_map` forks its workers, so they
-inherit `fn` and the items and neither is pickled. Each worker is sent
-the index of its next item over a pipe of its own as soon as it is free,
-and streams back one record per item on a second pipe: the pickle of the
-result, with numpy arrays sent after it as raw out-of-band buffers.
-Results are still pickled. Where the `fork` start method is unavailable,
-the map runs in this process.
+inherit `fn` and the items and neither is pickled. A free worker claims
+the next item index from a file they all share, and pickles each result
+into a temporary file of its own, read once that worker has exited.
+Without the `fork` start method, the map runs in this process.
 
 A case is a (cost, fn, args) triple that runs as fn(*args); cost estimates
 its element steps. `run_cases` hands the workers the costliest cases first,
@@ -25,9 +23,9 @@ import pickle
 import reprlib
 import selectors
 import struct
+import tempfile
 
-_INDEX = struct.Struct("<I")   # an item index, parent to worker
-_HEAD = struct.Struct("<QQ")   # a record's pickle length and buffer count, worker to parent
+_INDEX = struct.Struct("<I")   # an item index, as claimed and as recorded
 
 
 def _fork_context():
@@ -50,144 +48,87 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _error_record(index: int, exc: Exception) -> bytes:
+def _error_record(exc: Exception) -> bytes:
     import traceback   # only a failing item needs it
 
     tb = "".join(traceback.format_exception(exc))
     try:
-        return pickle.dumps((index, False, (exc, tb)), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((False, (exc, tb)), pickle.HIGHEST_PROTOCOL)
     except Exception:
-        return pickle.dumps((index, False, (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)),
+        return pickle.dumps((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)),
                             pickle.HIGHEST_PROTOCOL)
 
 
-def _work(fn, items, tasks: int, results: int, inherited: list[int]) -> None:
-    """A worker's loop: run each item whose index arrives on `tasks`, until EOF.
+def _work(fn, items, claims: int, out) -> None:
+    """Run the item of each index claimed from `claims`, until none is left or one fails.
 
-    The record of an item is (index, ok, value), where value is fn's result,
-    or the exception and its traceback text. It goes to `results` as its
-    pickle length, buffer count and buffer lengths, then the pickle, then
-    the buffers.
-    """
-    for fd in inherited:   # the parent's ends of this worker's pipes and of earlier ones
-        os.close(fd)
-    with open(results, "wb") as out:
-        while raw := os.read(tasks, _INDEX.size):
-            (index,) = _INDEX.unpack(raw)
-            buffers = []
-            try:
-                record = pickle.dumps((index, True, fn(items[index])), 5,
-                                      buffer_callback=buffers.append)
-                buffers = [b.raw() for b in buffers]
-            except Exception as exc:
-                record, buffers = _error_record(index, exc), []
-            out.write(_HEAD.pack(len(record), len(buffers)))
-            out.write(struct.pack(f"<{len(buffers)}Q", *[b.nbytes for b in buffers]))
-            out.write(record)
-            for b in buffers:
-                out.write(b)
-            out.flush()
-    os.close(tasks)
-
-
-class _Worker:
-    """One forked worker and the parent's ends of its two pipes."""
-
-    def __init__(self, context, fn, items, inherited: list[int]):
-        task_r, self.tasks = os.pipe()
-        result_r, result_w = os.pipe()
-        self.results = open(result_r, "rb")
-        self.index = None   # the item it is running
-        self.process = context.Process(
-            target=_work, daemon=True,
-            args=(fn, items, task_r, result_w, inherited + [self.tasks, result_r]))
+    Each item appends to `out` its index, flushed before it runs so that a death names it,
+    then the pickle of (ok, value): fn's result, or the exception and its traceback text."""
+    while raw := os.read(claims, _INDEX.size):
+        out.write(raw)
+        out.flush()
+        start = out.tell()
         try:
-            self.process.start()
-        except BaseException:
-            os.close(self.tasks)
-            self.results.close()
-            raise
-        finally:
-            os.close(task_r)
-            os.close(result_w)
+            pickle.dump((True, fn(items[_INDEX.unpack(raw)[0]])), out, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            out.seek(start)   # drop whatever part of the result was written
+            out.truncate()
+            out.write(_error_record(exc))
+            break
+    out.flush()
 
-    def send(self, index: int) -> None:
-        self.index = index
-        os.write(self.tasks, _INDEX.pack(index))
 
-    def stop(self) -> None:
-        """Close the task pipe, so that the worker exits once it is idle."""
-        if self.tasks >= 0:
-            os.close(self.tasks)
-            self.tasks = -1
-
-    def _frame(self):
-        """The pickle and buffers of the next record; None if the pipe ends first."""
-        read = self.results.read
-        head = read(_HEAD.size)
-        if len(head) < _HEAD.size:
-            return None
-        size, count = _HEAD.unpack(head)
-        lengths = read(8 * count)
-        if len(lengths) < 8 * count:
-            return None
-        record = read(size)
-        buffers = [bytearray(n) for n in struct.unpack(f"<{count}Q", lengths)]
-        if len(record) < size or any(self.results.readinto(b) < len(b) for b in buffers):
-            return None
-        return record, buffers
-
-    def receive(self, items) -> tuple:
-        """The record of the running item; RuntimeError if the worker died first."""
-        frame = self._frame()
-        if frame is None:
-            self.process.join()
-            raise RuntimeError(f"worker process exited with code {self.process.exitcode} "
-                               f"while running item {self.index}: "
-                               f"{reprlib.repr(items[self.index])}")
-        record, buffers = frame
-        return pickle.loads(record, buffers=buffers)
+def _collect(exitcode: int, out, items, results: list) -> None:
+    """Move an exited worker's records into `results`; raise its error or its death."""
+    out.seek(0)
+    while len(raw := out.read(_INDEX.size)) == _INDEX.size:
+        (index,) = _INDEX.unpack(raw)
+        try:
+            ok, value = pickle.load(out)
+        except (EOFError, pickle.UnpicklingError):   # the record was cut short
+            raise RuntimeError(f"worker process exited with code {exitcode} while running "
+                               f"item {index}: {reprlib.repr(items[index])}") from None
+        if not ok:   # value is the exception and its traceback text
+            raise value[0] from _RemoteTraceback(value[1])
+        results[index] = value
+    if exitcode:   # it died between items, after claiming an index it never recorded
+        raise RuntimeError(f"worker process exited with code {exitcode} between items")
 
 
 def _forked_map(context, fn, items: list, count: int) -> list:
-    """`count` forked workers, each sent the next index as soon as it is free.
-
-    On any error the workers are terminated; every worker is joined before
-    this returns or raises.
-    """
+    """`count` forked workers; on any error they are terminated. All are joined and closed."""
     results = [None] * len(items)
-    todo = iter(range(len(items)))
-    pool: list[_Worker] = []
-    with selectors.DefaultSelector() as selector:
+    pool, outs = [], []
+    with tempfile.TemporaryFile() as claims, selectors.DefaultSelector() as selector:
+        # The workers inherit this one open file description, so they share its offset:
+        # a 4-byte read claims the next index exactly once, as read() on a regular file
+        # is atomic (POSIX XSH 2.9.7) and Linux takes f_pos_lock on a shared description.
+        claims.write(struct.pack(f"<{len(items)}I", *range(len(items))))
+        claims.seek(0)
         try:
             for _ in range(count):
-                inherited = [fd for w in pool for fd in (w.tasks, w.results.fileno())]
-                worker = _Worker(context, fn, items, inherited)
-                pool.append(worker)
-                selector.register(worker.results, selectors.EVENT_READ, worker)
-                worker.send(next(todo))
-            for _ in range(len(items)):
-                worker = selector.select()[0][0].data
-                index, ok, value = worker.receive(items)
-                if not ok:
-                    exc, tb = value
-                    raise exc from _RemoteTraceback(tb)
-                results[index] = value
-                following = next(todo, None)
-                if following is None:
-                    worker.stop()
-                    selector.unregister(worker.results)
-                else:
-                    worker.send(following)
+                outs.append(out := tempfile.TemporaryFile())
+                process = context.Process(target=_work, daemon=True,
+                                          args=(fn, items, claims.fileno(), out))
+                process.start()
+                pool.append(process)
+                selector.register(process.sentinel, selectors.EVENT_READ, (process, out))
+            while selector.get_map():
+                for key, _ in selector.select():
+                    selector.unregister(key.fileobj)
+                    process, out = key.data
+                    process.join()
+                    _collect(process.exitcode, out, items, results)
         except BaseException:
-            for worker in pool:
-                worker.process.terminate()
+            for process in pool:
+                process.terminate()
             raise
         finally:
-            for worker in pool:
-                worker.stop()
-                worker.results.close()
-                worker.process.join()
+            for process in pool:
+                process.join()
+                process.close()   # releases its sentinel now, not at garbage collection
+            for out in outs:
+                out.close()
     return results
 
 

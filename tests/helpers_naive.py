@@ -3,8 +3,9 @@
 Everything here is deliberately slow and simple: schoolbook polynomial
 arithmetic on ints, per-element dict/set scans, literal double loops,
 a Kakeya verifier that sorts the whole set once per direction, and the
-tests' own views of library objects (the elements of a field, an array
-in the slope kernel's order, packed points, fiber sums).
+tests' own views of library objects (the elements of a field, one
+representative per direction, an array in the slope kernel's order,
+packed points, fiber sums).
 Nothing imports the library's vectorized paths, except a few helpers for
 sizes the scalar loops cannot reach: `sparse_values`, which feeds a
 sparse sum of monomials to the library's affinity gate; `kernel_bluher`,
@@ -226,6 +227,14 @@ def pack_point(coords, m: int) -> int:
 def unpack_point(p: int, m: int, n: int) -> tuple[int, ...]:
     mask = (1 << m) - 1
     return tuple((p >> (k * m)) & mask for k in range(n))
+
+
+def canonical_directions(q: int, n: int) -> list[tuple[int, ...]]:
+    """One representative per direction, first nonzero coordinate scaled to 1."""
+    if q < 2 or n < 1:
+        raise ValueError("need q >= 2 and n >= 1")
+    return [(0,) * lead + (1,) + rest
+            for lead in range(n) for rest in product(range(q), repeat=n - 1 - lead)]
 
 
 def total_values(dist) -> int:

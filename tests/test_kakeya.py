@@ -10,13 +10,12 @@ from kakeyagf import kakeya
 from kakeyagf.field import Field, make_field
 from kakeyagf.fiber import Gold, Quartic, image_values, values_all
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
-                             bound_report, build_kakeya, canonical_directions,
-                             construction_case, is_gf2_affine, kakeya_size_from_images,
-                             verify_kakeya)
+                             bound_report, build_kakeya, construction_case, is_gf2_affine,
+                             kakeya_size_from_images, verify_kakeya)
 
-from helpers_naive import (SparseExponentSum, elements, evaluate, naive_has_line, naive_image,
-                           naive_irreducibles, naive_kakeya_points, pack_point,
-                           sort_verify_missing, sparse_values, unpack_point)
+from helpers_naive import (SparseExponentSum, canonical_directions, elements, evaluate,
+                           naive_has_line, naive_image, naive_irreducibles, naive_kakeya_points,
+                           pack_point, sort_verify_missing, sparse_values, unpack_point)
 
 
 def _values(field, fn):

@@ -4,7 +4,11 @@ costliest case first, results in case order, every worker reaped."""
 import contextlib
 import multiprocessing.context
 import os
+import pickle
 import signal
+import struct
+import sys
+import tempfile
 import threading
 import time
 
@@ -132,3 +136,109 @@ def test_unpicklable_result_raises_in_parent():
 def test_without_fork_runs_in_process(monkeypatch):
     monkeypatch.setattr(parallel, "_fork_context", lambda: None)
     assert parallel.parallel_map(lambda k: os.getpid(), range(3), 2) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_every_item_runs_exactly_once(workers, tmp_path):
+    # each call appends its index; the order test above cannot see an item run twice
+    ran = tmp_path / "ran"
+    log = os.open(ran, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def fn(k):
+        os.write(log, struct.pack("<I", k))
+        return k
+
+    try:
+        with _deadline(60):
+            assert parallel.parallel_map(fn, range(20_000), workers) == list(range(20_000))
+    finally:
+        os.close(log)
+    assert sorted(np.frombuffer(ran.read_bytes(), dtype="<u4").tolist()) == list(range(20_000))
+
+
+def test_killed_worker_names_its_item():
+    def fn(k):
+        if k == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k
+
+    with _deadline(60), pytest.raises(RuntimeError,
+                                      match="^worker process exited with code -9 while running "
+                                            "item 2: 2$"):
+        parallel.parallel_map(fn, range(5), 2)
+
+
+class _KillsWhenPickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_worker_killed_while_pickling_names_its_item():
+    # the record is cut short after its 8 MB array, not before it
+    def fn(k):
+        return [np.zeros(1 << 20), _KillsWhenPickled()] if k == 1 else k
+
+    with _deadline(60), pytest.raises(RuntimeError, match="code -9 while running item 1: 1$"):
+        parallel.parallel_map(fn, range(4), 2)
+
+
+def test_item_calling_exit_names_its_item():
+    def fn(k):
+        if k == 1:
+            sys.exit(0)
+        return k
+
+    with _deadline(60), pytest.raises(RuntimeError, match="code 0 while running item 1: 1$"):
+        parallel.parallel_map(fn, range(4), 2)
+
+
+def test_unpicklable_result_after_large_array_raises():
+    # the array is written before pickling fails, and must not be read as a result
+    with pytest.raises(TypeError, match="pickle"):
+        parallel.parallel_map(lambda k: [np.zeros(1 << 20), threading.Lock()], range(2), 2)
+
+
+def test_error_while_another_worker_sleeps():
+    # the failing worker must stop, not claim item 2 and sleep too
+    def fn(k):
+        if k == 1:
+            raise ValueError("item 1 fails")
+        time.sleep(600)
+
+    begin = time.monotonic()
+    with _deadline(60), pytest.raises(ValueError, match="^item 1 fails$"):
+        parallel.parallel_map(fn, range(3), 2)
+    assert time.monotonic() - begin < 30
+
+
+def test_death_between_items_is_an_error():
+    # a worker killed after claiming an index but before recording it
+    with tempfile.TemporaryFile() as out:
+        out.write(struct.pack("<I", 0))
+        pickle.dump((True, "a"), out)
+        results = [None, None]
+        with pytest.raises(RuntimeError, match="^worker process exited with code -9 between items$"):
+            parallel._collect(-9, out, ["x", "y"], results)
+    assert results == ["a", None]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_map_releases_every_fd():
+    # no gc.collect(): the workers' sentinels must be closed, not left to the collector
+    def raising(k):
+        if k == 1:
+            raise ValueError("item 1 fails")
+        return k
+
+    def dying(k):
+        if k == 1:
+            os._exit(3)
+        return k
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValueError):
+        parallel.parallel_map(raising, range(4), 2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(RuntimeError):
+        parallel.parallel_map(dying, range(4), 2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
