@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Field, exact_div, make_field
-from .parallel import run_cases
 
 
 @dataclass
@@ -74,6 +73,6 @@ def agreement_cases(m_max: int) -> list[tuple]:
     return [(1 << m, agreement_case, (m, i)) for m in range(2, m_max + 1) for i in range(m)]
 
 
-def agreement_sweep(m_max: int, workers: int = 1) -> list[BluherCount]:
+def agreement_sweep(m_max: int) -> list[BluherCount]:
     """Formula vs brute force for every 2 <= m <= m_max and 0 <= i < m."""
-    return run_cases(agreement_cases(m_max), workers)
+    return [fn(*args) for _, fn, args in agreement_cases(m_max)]

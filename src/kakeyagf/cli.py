@@ -2,14 +2,14 @@
 
 Pure orchestration; all mathematics lives in the library modules. Output
 is deterministic for a fixed configuration and seed regardless of the
-worker count: with more than one worker, `all` runs the cases of all its
-sweeps through one set of forked workers, costliest first, and
-reassembles each check's rows in a fixed order, and every collection is
-emitted sorted. JSON is the machine format of record; csv and text are
-renderings of the same report object. Every verb takes `--format`; only
-`all` and `verify-bluher` take `-j`. Every verdict is exhaustive, so no
-sweep takes a seed; `all` still takes `--seed` and echoes it in its
-report.
+worker count: `all` runs its seven sweeps as the seven cases of one
+`run_cases` call and `verify-bluher` its (m, i) cases, costliest first
+with more than one worker and returned in case order, and every
+collection is emitted sorted. JSON is the machine format of record; csv
+and text are renderings of the same report object. Every verb takes
+`--format`; only `all` and `verify-bluher` take `-j`. Every verdict is
+exhaustive, so no sweep takes a seed; `all` still takes `--seed` and
+echoes it in its report.
 
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. argparse checks each option on its own through its `type=`; a verb
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 
@@ -144,7 +143,7 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
 def _run_verify_bluher(args: argparse.Namespace) -> int:
     rows = [{"m": r.m, "i": r.i, "d": r.d, "n0_formula": r.n0_formula,
              "n0_bruteforce": r.n0_bruteforce, "agree": r.agree}
-            for r in bluher.agreement_sweep(args.m_max, args.parallelism)]
+            for r in run_cases(bluher.agreement_cases(args.m_max), args.parallelism)]
     ok = all(r["agree"] for r in rows)
     _emit({"rows": rows, "ok": ok}, rows, args.format)
     return 0 if ok else 1
@@ -280,30 +279,24 @@ def _run_bounds(args: argparse.Namespace) -> int:
 def _stage_rows(m_max: int, workers: int) -> list[tuple[str, list]]:
     """Each check of `all` with its rows, in report order.
 
-    One worker calls the seven sweeps in turn, so that each stage's time
-    can be traced through its sweep. More run the cases of all seven
-    through one set of forked workers, costliest first: the workers
-    inherit the cases, claim them one at a time and pickle each result
-    into a temporary file of their own, and each stage gets its rows back
-    in case order. Where `fork` is unavailable the cases run in this
-    process.
+    The seven sweeps are the seven cases of one `run_cases` call, each
+    costed by the sum of its own cases' estimates. One worker runs them in
+    turn in this process. More fork one set of workers, which inherit the
+    sweeps, claim them costliest first and pickle each sweep's rows into a
+    temporary file of their own. The two closed-form checks run here.
     """
     swept = [
-        ("bluher-agreement", bluher.agreement_sweep, bluher.agreement_cases, (min(12, m_max),)),
-        ("gold-image-profile", gold.image_profile_sweep, gold.profile_cases, (m_max,)),
-        ("half-gold-structure", gold.half_gold_sweep, gold.half_gold_cases, (m_max,)),
+        ("bluher-agreement", bluher.agreement_sweep, bluher.agreement_cases, min(12, m_max)),
+        ("gold-image-profile", gold.image_profile_sweep, gold.profile_cases, m_max),
+        ("half-gold-structure", gold.half_gold_sweep, gold.half_gold_cases, m_max),
         ("quartic-fiber-formulas", quartic.fiber_formula_sweep, quartic.fiber_formula_cases,
-         (m_max,)),
-        ("quartic-image-exact", quartic.image_exact_sweep, quartic.image_exact_cases, (m_max,)),
-        ("quartic-floor-sharpness", quartic.sharpness_sweep, quartic.sharpness_cases, (m_max,)),
-        ("kakeya-construction", kakeya.construction_sweep, kakeya.construction_cases, (m_max,)),
+         m_max),
+        ("quartic-image-exact", quartic.image_exact_sweep, quartic.image_exact_cases, m_max),
+        ("quartic-floor-sharpness", quartic.sharpness_sweep, quartic.sharpness_cases, m_max),
+        ("kakeya-construction", kakeya.construction_sweep, kakeya.construction_cases, m_max),
     ]
-    if workers == 1:
-        rows = [sweep(*a) for _, sweep, _, a in swept]
-    else:
-        case_lists = [cases(*a) for _, _, cases, a in swept]
-        results = iter(run_cases([c for cl in case_lists for c in cl], workers))
-        rows = [list(itertools.islice(results, len(cl))) for cl in case_lists]
+    rows = run_cases([(sum(cost for cost, _, _ in cases(top)), sweep, (top,))
+                      for _, sweep, cases, top in swept], workers)
     return [(name, r) for (name, *_), r in zip(swept, rows)] + [
         ("bound-dominance", kakeya.bound_dominance_rows()),
         ("floor-bound-integer-path", quartic.floor_bound_consistency())]

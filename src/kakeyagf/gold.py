@@ -25,7 +25,6 @@ import numpy as np
 
 from .field import Field, exact_div, frobenius_class_count, make_field
 from .fiber import Gold, image_sizes_all
-from .parallel import run_cases
 
 
 @dataclass
@@ -124,7 +123,7 @@ def profile_cases(m_max: int) -> list[tuple]:
 
 
 def image_profile_sweep(m_max: int) -> list[dict]:
-    return run_cases(profile_cases(m_max))
+    return [fn(*args) for _, fn, args in profile_cases(m_max)]
 
 
 def half_gold_case(m: int) -> dict:
@@ -147,4 +146,4 @@ def half_gold_cases(m_max: int) -> list[tuple]:
 
 
 def half_gold_sweep(m_max: int) -> list[dict]:
-    return run_cases(half_gold_cases(m_max))
+    return [fn(*args) for _, fn, args in half_gold_cases(m_max)]

@@ -39,7 +39,6 @@ import numpy as np
 from .field import Field, make_field, xor_span
 from .fiber import (FunctionSpec, Gold, Quartic, function_label, image_sets, image_sizes_all,
                     values_all)
-from .parallel import run_cases
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 PACKED_BITS = 62  # packed points are int64
@@ -274,7 +273,7 @@ def construction_cases(m_max: int) -> list[tuple]:
 
 
 def construction_sweep(m_max: int) -> list[dict]:
-    return run_cases(construction_cases(m_max))
+    return [fn(*args) for _, fn, args in construction_cases(m_max)]
 
 
 def bound_dominance_rows() -> list[dict]:

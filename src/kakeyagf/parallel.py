@@ -7,12 +7,14 @@ With more than one worker, `parallel_map` forks its workers, so they
 inherit `fn` and the items and neither is pickled. A free worker claims
 the next item index from a file they all share, and pickles each result
 into a temporary file of its own, read once that worker has exited.
-Without the `fork` start method, the map runs in this process.
+Without the `fork` start method, the map runs in this process. An item's
+exception that cannot unpickle comes back as RuntimeError("Type: message").
 
 A case is a (cost, fn, args) triple that runs as fn(*args); cost estimates
 its element steps. `run_cases` hands the workers the costliest cases first,
 one at a time, so that the largest case does not start last and leave the
-other workers idle while it runs.
+other workers idle while it runs. Only the CLI's `all` and `verify-bluher`
+schedule; the library's sweeps are plain loops, so no map nests in another.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _error_record(exc: Exception) -> bytes:
 
     tb = "".join(traceback.format_exception(exc))
     try:
-        return pickle.dumps((False, (exc, tb)), pickle.HIGHEST_PROTOCOL)
+        record = pickle.dumps((False, (exc, tb)), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(record)   # an exception not rebuilt from its args fails only here
+        return record
     except Exception:
         return pickle.dumps((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)),
                             pickle.HIGHEST_PROTOCOL)

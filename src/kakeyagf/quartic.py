@@ -36,7 +36,6 @@ import numpy as np
 
 from .field import Field, exact_div, frobenius_class_count, make_field, xor_span
 from .fiber import FiberDistribution, Quartic, fiber_distribution, image_sizes_all, slope_values
-from .parallel import run_cases
 
 
 def omega1_formula(m: int, tr_t: int) -> int:
@@ -218,7 +217,7 @@ def fiber_formula_cases(m_max: int) -> list[tuple]:
 
 
 def fiber_formula_sweep(m_max: int) -> list[dict]:
-    return run_cases(fiber_formula_cases(m_max))
+    return [fn(*args) for _, fn, args in fiber_formula_cases(m_max)]
 
 
 def image_exact_case(field: Field) -> dict:
@@ -243,7 +242,7 @@ def image_exact_cases(m_max: int) -> list[tuple]:
 
 
 def image_exact_sweep(m_max: int) -> list[dict]:
-    return run_cases(image_exact_cases(m_max))
+    return [fn(*args) for _, fn, args in image_exact_cases(m_max)]
 
 
 def sharpness_case(m: int) -> dict:
@@ -258,7 +257,7 @@ def sharpness_cases(m_max: int) -> list[tuple]:
 
 
 def sharpness_sweep(m_max: int) -> list[dict]:
-    return run_cases(sharpness_cases(m_max))
+    return [fn(*args) for _, fn, args in sharpness_cases(m_max)]
 
 
 def floor_bound_consistency() -> list[dict]:

@@ -5,6 +5,11 @@ Each row patches one closed form where its module looks it up, runs
 inherit the patch), and pins the exact set of checks that fail. Together
 the rows make every one of the nine checks fail at least once, so none of
 them compares a formula only with itself.
+
+Two more faults sit outside the closed forms. A corrupted antilog table
+is a library fault that `all` raises, not a FAIL row. And with every
+closed form patched to raise, the brute-force routes still run to the
+same results, so none of them goes through a formula.
 """
 
 import dataclasses
@@ -12,8 +17,11 @@ import json
 
 import pytest
 
-from kakeyagf import bluher, gold, kakeya, quartic
+import kakeyagf
+from kakeyagf import bluher, cli, fiber, gold, kakeya, quartic
 from kakeyagf.cli import main
+from kakeyagf.field import make_field
+from kakeyagf.fiber import Gold, Quartic
 
 
 def _plus_one(fn):
@@ -67,3 +75,78 @@ def test_every_check_has_a_fault(capsys):
     assert (code, failed) == (0, set())
     assert len(names) == 9
     assert set().union(*(failing for *_, failing in FAULTS)) == names
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("m, k", [(5, 7), (7, 5), (7, 60), (8, 100), (9, 3)])
+def test_swapped_antilog_entries_are_a_library_fault(m, k, workers, monkeypatch, capsys):
+    # exp and log stay inverse to each other, but the product they define is
+    # no longer the field's; patched on the shared instance, and undone after
+    field = make_field(m)
+    units = field.q - 1
+    exp2 = field._tables()[1].copy()
+    exp2[[k, k + 1, units + k, units + k + 1]] = exp2[[k + 1, k, units + k + 1, units + k]]
+    log = field.log_table().copy()
+    log[exp2[[k, k + 1]]] = [k, k + 1]
+    monkeypatch.setattr(field, "_exp2", exp2)
+    monkeypatch.setattr(field, "_exp", exp2[:units])
+    monkeypatch.setattr(field, "_log", log)
+    monkeypatch.setattr(field, "_frobenius", None)   # cached from the intact tables
+    with pytest.raises(ArithmeticError,
+                       match=r"^squaring is not GF\(2\)-additive in the field tables$"):
+        main(["all", "--m-max", "9", "--format", "json", "-j", workers])
+    assert capsys.readouterr().out == ""
+
+
+CLOSED_FORMS = [
+    (bluher, "bluher_formula"), (gold, "gold_profile"), (quartic, "omega0_distribution"),
+    (quartic, "omega1_formula"), (quartic, "omega3_formula"), (quartic, "_size_from_count"),
+    (quartic, "quartic_floor_bound"), (kakeya, "kakeya_size_from_images"),
+    (kakeya, "bound_eval"),
+]
+
+
+class _ClosedFormCalled(Exception):
+    pass
+
+
+def _brute_force_routes(kakeya_sets) -> list:
+    out = []
+    for m in range(2, 10):
+        field = make_field(m)
+        fns = [Gold(i) for i in range(1, m)] + [Quartic()]
+        out.append([fiber.image_sizes_all(field, fn).tolist() for fn in fns])
+        out.append([(fiber.fiber_distribution(field, fn, t),
+                     fiber.image_values(field, fn, t).tolist())
+                    for fn in fns for t in (0, 1, field.q - 1)])
+        out.append([bluher.bluher_bruteforce(field, i) for i in range(m)])
+        if m % 2 == 0:
+            out.append(gold.verify_half_gold_structure(field))
+    out.append([kakeya.verify_kakeya(ks) for ks in kakeya_sets])
+    return out
+
+
+def test_brute_force_routes_call_no_closed_form(monkeypatch):
+    kakeya_sets = []
+    for m in (2, 3, 4):
+        fn = Quartic() if m % 2 else Gold(m // 2)
+        for n in (2, 3):
+            ks = kakeya.build_kakeya(make_field(m), n, fn)
+            # a set missing one point, so the verifier has a direction to find
+            kakeya_sets += [ks, dataclasses.replace(ks, points=ks.points[1:])]
+    expected = _brute_force_routes(kakeya_sets)
+    assert not all(r.ok for r in expected[-1])
+
+    def raising(*args, **kwargs):
+        raise _ClosedFormCalled
+    modules = (kakeyagf, bluher, cli, fiber, gold, kakeya, quartic)
+    for module, name in CLOSED_FORMS:
+        orig = getattr(module, name)
+        for binder in modules:
+            for key, value in list(vars(binder).items()):
+                if value is orig:
+                    monkeypatch.setattr(binder, key, raising)
+
+    with pytest.raises(_ClosedFormCalled):   # the formula side of each check is patched
+        quartic.image_exact_case(make_field(5))
+    assert _brute_force_routes(kakeya_sets) == expected

@@ -105,6 +105,25 @@ def test_worker_exception_keeps_type_and_message():
     assert "raise LookupError" in str(info.value.__cause__)   # the worker's traceback
 
 
+class _TwoArgError(Exception):
+    # pickles as _TwoArgError("bad item"), which its __init__ cannot take back
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def test_exception_not_rebuilt_from_args_is_wrapped():
+    def fn(k):
+        if k == 1:
+            raise _TwoArgError("bad", "item")
+        return k
+
+    with pytest.raises(_TwoArgError, match="^bad item$"):
+        parallel.parallel_map(fn, range(4), 1)
+    with pytest.raises(RuntimeError, match="^_TwoArgError: bad item$") as info:
+        parallel.parallel_map(fn, range(4), 2)
+    assert "raise _TwoArgError" in str(info.value.__cause__)   # the worker's traceback
+
+
 def test_worker_death_raises_instead_of_hanging():
     def fn(k):
         if k == 1:
