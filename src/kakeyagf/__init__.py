@@ -1,5 +1,15 @@
 """Kakeya sets over binary fields: constructions, exact counts, verification."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # Nothing here calls BLAS, yet OpenBLAS starts a thread per extra core as numpy
+    # loads, and each busy-waits about 0.1 s for work before it sleeps, on cores the
+    # checks could use. 4 (2^4 cycles, its least) lets them sleep at once; results
+    # and thread counts do not change, and a value set beforehand is kept.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .bluher import BluherCount, bluher_bruteforce, bluher_formula
 from .field import Field, is_irreducible, make_field, smallest_irreducible
 from .fiber import (FiberDistribution, FunctionSpec, Gold, Quartic, fiber_distribution,

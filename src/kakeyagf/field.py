@@ -159,6 +159,8 @@ class Field:
         if modulus is None:
             modulus = smallest_irreducible(m)
         else:
+            if modulus < 0:   # no polynomial over GF(2) encodes as a negative int
+                raise ValueError(f"modulus {modulus:x} is negative")
             if modulus.bit_length() - 1 != m:
                 raise ValueError(f"modulus {modulus:x} does not have degree {m}")
             if modulus & 1 == 0:

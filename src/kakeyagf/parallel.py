@@ -3,12 +3,16 @@
 Results come back in submission order whatever the worker count, so any
 report assembled from them is byte-identical across parallelism settings.
 
-With more than one worker, `parallel_map` forks its workers, so they
-inherit `fn` and the items and neither is pickled. A free worker claims
-the next item index from a file they all share, and pickles each result
-into a temporary file of its own, read once that worker has exited.
-Without the `fork` start method, the map runs in this process. An item's
-exception that cannot unpickle comes back as RuntimeError("Type: message").
+With more than one worker, `parallel_map` forks them with `os.fork`, so
+they inherit `fn` and the items and neither is pickled. A free worker
+claims the next item index from a file they all share, and pickles each
+result into a temporary file of its own. Each worker holds the only write
+end of a pipe; EOF on its read end tells the parent that the worker has
+exited, and the parent reaps it with `os.waitpid` before reading its file.
+The standard streams are flushed before the forks and in each worker
+before it exits, and the GC is frozen across the forks. Where `os` has no
+`fork`, the map runs in this process. An item's exception that cannot
+unpickle comes back as RuntimeError("Type: message").
 
 A case is a (cost, fn, args) triple that runs as fn(*args); cost estimates
 its element steps. `run_cases` hands the workers the costliest cases first,
@@ -19,30 +23,29 @@ schedule; the library's sweeps are plain loops, so no map nests in another.
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
 import os
 import pickle
 import reprlib
 import selectors
+import signal
 import struct
+import sys
 import tempfile
 
 _INDEX = struct.Struct("<I")   # an item index, as claimed and as recorded
 
 
 def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
+    return getattr(os, "fork", None)
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:
     items = list(items)
-    context = _fork_context()
-    if workers <= 1 or len(items) <= 1 or context is None:
+    fork = _fork_context()
+    if workers <= 1 or len(items) <= 1 or fork is None:
         return [fn(item) for item in items]
-    return _forked_map(context, fn, items, min(workers, len(items)))
+    return _forked_map(fork, fn, items, min(workers, len(items)))
 
 
 class _RemoteTraceback(Exception):
@@ -99,10 +102,39 @@ def _collect(exitcode: int, out, items, results: list) -> None:
         raise RuntimeError(f"worker process exited with code {exitcode} between items")
 
 
-def _forked_map(context, fn, items: list, count: int) -> list:
-    """`count` forked workers; on any error they are terminated. All are joined and closed."""
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):   # None, or closed
+            pass
+
+
+def _child(fn, items, claims: int, out) -> None:
+    """A forked worker's whole life. It never returns into the code that forked it.
+
+    Its exit code is that of a `multiprocessing` worker: 0, SystemExit's int, or 1
+    for a SystemExit with text (written to stderr) or any other BaseException."""
+    code = 1
+    try:
+        _work(fn, items, claims, out)
+        code = 0
+    except SystemExit as exc:
+        if exc.code is None or isinstance(exc.code, int):
+            code = (exc.code or 0) & 0xFF   # what the exit status keeps of it
+        else:
+            sys.stderr.write(f"{exc.code}\n")
+    finally:   # any other BaseException ends here too, as code 1
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(code)
+
+
+def _forked_map(fork, fn, items: list, count: int) -> list:
+    """`count` forked workers; on any error they are killed. All are reaped, every fd closed."""
     results = [None] * len(items)
-    pool, outs = [], []
+    running, sentinels, outs = set(), [], []
     with tempfile.TemporaryFile() as claims, selectors.DefaultSelector() as selector:
         # The workers inherit this one open file description, so they share its offset:
         # a 4-byte read claims the next index exactly once, as read() on a regular file
@@ -110,27 +142,39 @@ def _forked_map(context, fn, items: list, count: int) -> list:
         claims.write(struct.pack(f"<{len(items)}I", *range(len(items))))
         claims.seek(0)
         try:
-            for _ in range(count):
-                outs.append(out := tempfile.TemporaryFile())
-                process = context.Process(target=_work, daemon=True,
-                                          args=(fn, items, claims.fileno(), out))
-                process.start()
-                pool.append(process)
-                selector.register(process.sentinel, selectors.EVENT_READ, (process, out))
+            _flush_std_streams()   # else each worker would write the buffered text again
+            gc.freeze()   # the workers' collections then leave the inherited heap unwritten
+            try:
+                for _ in range(count):
+                    outs.append(out := tempfile.TemporaryFile())
+                    # the worker holds the only write end, so its exit is EOF on the read end
+                    sentinel, writer = os.pipe()
+                    sentinels.append(sentinel)
+                    try:
+                        if (pid := fork()) == 0:
+                            _child(fn, items, claims.fileno(), out)
+                    finally:
+                        os.close(writer)
+                    running.add(pid)
+                    selector.register(sentinel, selectors.EVENT_READ, (pid, out))
+            finally:
+                gc.unfreeze()
             while selector.get_map():
                 for key, _ in selector.select():
                     selector.unregister(key.fileobj)
-                    process, out = key.data
-                    process.join()
-                    _collect(process.exitcode, out, items, results)
+                    pid, out = key.data
+                    status = os.waitpid(pid, 0)[1]
+                    running.remove(pid)
+                    _collect(os.waitstatus_to_exitcode(status), out, items, results)
         except BaseException:
-            for process in pool:
-                process.terminate()
+            for pid in running:
+                os.kill(pid, signal.SIGTERM)
             raise
         finally:
-            for process in pool:
-                process.join()
-                process.close()   # releases its sentinel now, not at garbage collection
+            for pid in running:
+                os.waitpid(pid, 0)
+            for sentinel in sentinels:
+                os.close(sentinel)
             for out in outs:
                 out.close()
     return results

@@ -183,30 +183,36 @@ def sharpness_search(field: Field) -> SharpnessResult:
 # ----------------------------------------------------------------------
 # sweeps used by the verification suite
 
+def class_fiber_counts(field: Field) -> dict[int, tuple[int, int, int]]:
+    """Brute force at the least t of each Frobenius class of slopes t != 0: the
+    numbers of values with exactly one, exactly three and five or more preimages."""
+    q = field.q
+    rep = field.frobenius_classes()
+    out = {}
+    for t, vals in slope_values(field, Quartic(), np.flatnonzero(rep == np.arange(q))[1:]):
+        counts = np.bincount(vals, minlength=q)
+        out[int(t)] = (int(np.count_nonzero(counts == 1)), int(np.count_nonzero(counts == 3)),
+                       int(np.count_nonzero(counts >= 5)))
+    return out
+
+
 def fiber_formula_case(field: Field) -> dict:
     """All fiber histograms of one field against the closed forms.
 
-    Every slope is covered by one brute-force sweep per Frobenius class:
-    the histogram and Tr(t) are the same at every slope of a class, so a
-    failing class fails at each of its slopes, and `bad_t` lists the
-    first eight failing t in encoding order.
+    Every slope is covered by `class_fiber_counts`: the histogram and
+    Tr(t) are the same at every slope of a Frobenius class, so a failing
+    class fails at each of its slopes, and `bad_t` lists the first eight
+    failing t in encoding order.
     """
-    m, q = field.m, field.q
+    m = field.m
     tr = field.trace_table()
-    rep = field.frobenius_classes()
     bad: list[int] = []
     measured = fiber_distribution(field, Quartic(), 0)
     if measured.nonzero() != omega0_distribution(m).nonzero():
         bad.append(0)
-    bad_reps = []
-    for t, vals in slope_values(field, Quartic(), np.flatnonzero(rep == np.arange(q))[1:]):
-        counts = np.bincount(vals, minlength=q)
-        trt = int(tr[t])
-        if (int(np.count_nonzero(counts == 1)) != omega1_formula(m, trt)
-                or int(np.count_nonzero(counts == 3)) != omega3_formula(trt)
-                or int(np.count_nonzero(counts >= 5)) != 0):
-            bad_reps.append(t)
-    bad += np.flatnonzero(np.isin(rep, bad_reps)).tolist()
+    bad_reps = [t for t, counts in class_fiber_counts(field).items()
+                if counts != (omega1_formula(m, int(tr[t])), omega3_formula(int(tr[t])), 0)]
+    bad += np.flatnonzero(np.isin(field.frobenius_classes(), bad_reps)).tolist()
     return {"m": m, "ok": not bad, "bad_t": bad[:8]}
 
 

@@ -4,6 +4,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -251,9 +253,20 @@ def test_all_reduced_and_repeatable():
     ["sharpness", "--m", "21"],                            # beyond MAX_DEGREE
     ["kakeya", "--m", "19", "--n", "2", "--f", "quartic"],  # sweeps every slope
     ["gold", "--m", "19", "--i", "3", "--verify"],         # same; without --verify it runs
+    ["gold", "--m", "2", "--i", "1", "--modulus=-5"],      # a negative int: no polynomial
+    ["quartic", "--m", "3", "--modulus=-b"],
+    ["sharpness", "--m", "3", "--modulus=-b"],
 ])
 def test_bad_input_is_usage_error(args, capsys):
-    assert main(args) == 2
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)   # a hang fails, not blocks, the run
+    signal.alarm(60)
+    try:
+        assert main(args) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -270,6 +283,17 @@ def test_bad_input_is_usage_error(args, capsys):
 def test_single_option_rule_names_option(option, args, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: argument {option}")
+
+
+def test_import_lets_openblas_threads_sleep():
+    # numpy has not loaded yet in a fresh interpreter, so OpenBLAS reads the value
+    code = "import os, kakeyagf; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.stdout == "4\n", r.stderr
+    r = subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_THREAD_TIMEOUT": "12"},
+                       capture_output=True, text=True)
+    assert r.stdout == "12\n", r.stderr
 
 
 def test_help_exits_zero():

@@ -2,11 +2,11 @@
 costliest case first, results in case order, every worker reaped."""
 
 import contextlib
-import multiprocessing.context
 import os
 import pickle
 import signal
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -58,16 +58,16 @@ def test_run_cases_sorts_by_cost_and_restores_order(monkeypatch):
 def test_all_starts_one_pool(monkeypatch, capsys):
     assert cli.main(["all", "--m-max", "6", "--format", "json", "-j", "1"]) == 0
     serial = capsys.readouterr().out
-    starts = []
-    start = multiprocessing.context.ForkProcess.start
+    forks = []
+    fork = os.fork
 
-    def counting(process):
-        starts.append(process)
-        start(process)
+    def counting():
+        forks.append(None)
+        return fork()
 
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting)
+    monkeypatch.setattr(os, "fork", counting)
     assert cli.main(["all", "--m-max", "6", "--format", "json", "-j", "2"]) == 0
-    assert len(starts) == 2   # one set of two workers for the whole run
+    assert len(forks) == 2   # one set of two workers for the whole run
     assert capsys.readouterr().out == serial
 
 
@@ -261,3 +261,55 @@ def test_failed_map_releases_every_fd():
     with pytest.raises(RuntimeError):
         parallel.parallel_map(dying, range(4), 2)
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def _run_python(source):
+    # stdout is a pipe, so the child's print() is block-buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_import_leaves_multiprocessing_out():
+    r = _run_python("import sys, kakeyagf.cli\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+
+def test_text_buffered_before_a_map_comes_out_once():
+    r = _run_python("from kakeyagf import parallel\n"
+                    "print('before the map')\n"
+                    "print(parallel.parallel_map(lambda k: k * k, range(4), 2))")
+    assert (r.returncode, r.stdout) == (0, "before the map\n[0, 1, 4, 9]\n"), r.stderr
+
+
+def test_text_an_item_prints_comes_out_once():
+    r = _run_python("from kakeyagf import parallel\n"
+                    "def fn(k):\n"
+                    "    print(f'item {k}')\n"
+                    "    return k\n"
+                    "print(parallel.parallel_map(fn, range(4), 2))")
+    assert r.returncode == 0, r.stderr
+    *printed, results = r.stdout.splitlines()
+    assert (sorted(printed), results) == ([f"item {k}" for k in range(4)], "[0, 1, 2, 3]")
+
+
+@pytest.mark.parametrize("body, stderr", [("raise KeyboardInterrupt", ""),
+                                          ("sys.exit('item 1 gives up')", "item 1 gives up\n")])
+def test_base_exception_in_item_exits_one_and_stays_in_worker(body, stderr):
+    r = _run_python("import os, sys\n"
+                    "from kakeyagf import parallel\n"
+                    "parent = os.getpid()\n"
+                    "def fn(k):\n"
+                    "    if k == 1:\n"
+                    f"        {body}\n"
+                    "    return k\n"
+                    "try:\n"
+                    "    parallel.parallel_map(fn, range(4), 2)\n"
+                    "except RuntimeError as exc:\n"
+                    "    print(exc)\n"
+                    "print('after the map, in the parent:', os.getpid() == parent)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ("worker process exited with code 1 while running item 1: 1\n"
+                        "after the map, in the parent: True\n")
+    assert r.stderr == stderr
