@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import bluher, gold, kakeya, quartic
 from .field import MAX_DEGREE, make_field
@@ -141,9 +142,7 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
 # verbs
 
 def _run_verify_bluher(args: argparse.Namespace) -> int:
-    rows = [{"m": r.m, "i": r.i, "d": r.d, "n0_formula": r.n0_formula,
-             "n0_bruteforce": r.n0_bruteforce, "agree": r.agree}
-            for r in run_cases(bluher.agreement_cases(args.m_max), args.parallelism)]
+    rows = [asdict(r) for r in run_cases(bluher.agreement_cases(args.m_max), args.parallelism)]
     ok = all(r["agree"] for r in rows)
     _emit({"rows": rows, "ok": ok}, rows, args.format)
     return 0 if ok else 1
@@ -231,31 +230,18 @@ def _run_kakeya(args: argparse.Namespace) -> int:
     field = _field_for(args)
     if isinstance(args.f, Gold) and not 0 <= args.f.i < field.m:
         raise UsageError(f"gold index {args.f.i} outside 0..{field.m - 1}")
-    # only the check uses the points, and they pack into ints only up to PACKED_BITS
-    packable = args.n * field.m <= kakeya.PACKED_BITS
-    cap = kakeya.DEFAULT_MATERIALIZE_CAP if args.check and packable else 0
-    try:
-        ks = kakeya.build_kakeya(field, args.n, args.f, materialize_cap=cap)
+    try:  # only the line check uses the points
+        row = kakeya.check_construction(field, args.n, args.f, materialize=args.check)
     except kakeya.AffineMapError as exc:
         raise UsageError(str(exc))
-    rep = kakeya.bound_report(field, args.n, args.f, ks.size)
-    counted = ks.block_count in (None, ks.size)
-    if not counted:
-        print(f"block enumeration counts {ks.block_count} tuples, the closed form {ks.size}",
-              file=sys.stderr)
-    verified = None
-    if args.check:
-        if ks.points is None:
-            why = "materialization cap exceeded" if packable else (
-                f"packed points need n*m <= {kakeya.PACKED_BITS} bits")
-            print(f"{why}; line check skipped", file=sys.stderr)
-        else:
-            verified = kakeya.verify_kakeya(ks).ok
-    payload = {"q": field.q, "n": args.n, "f": rep.f, "size": ks.size,
-               "bound_new": rep.new_bound, "bound_klss": rep.klss_bound,
-               "kakeya_verified": verified}
-    _emit(payload, None, args.format)
-    return 0 if rep.ok and counted and verified is not False else 1
+    if row["block_count"] not in (None, row["size"]):
+        print(f"block enumeration counts {row['block_count']} tuples, the closed form "
+              f"{row['size']}", file=sys.stderr)
+    if row["skipped"]:
+        print(f"{row['skipped']}; line check skipped", file=sys.stderr)
+    _emit({k: row[k] for k in ("q", "n", "f", "size", "bound_new", "bound_klss",
+                               "kakeya_verified")}, None, args.format)
+    return 0 if row["ok"] else 1
 
 
 def _run_bounds(args: argparse.Namespace) -> int:

@@ -94,10 +94,10 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
                  materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> KakeyaSet:
     """Image sizes always; tuples materialized when the block total fits the cap.
 
-    The sizes come from the one-slope-per-class `image_sizes_all`, the image
-    sets from one sweep of every slope; the tuple count of the latter's
-    blocks is recorded as `block_count`, for the caller to hold against
-    `size`, the closed-form total of the former.
+    The sizes come from the one-slope-per-class `image_sizes_all`, and
+    `size`, their closed-form total, decides the cap before anything is
+    enumerated; the tuples come from `kakeya_blocks`, whose count is
+    recorded as `block_count` for the caller to hold against `size`.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -109,6 +109,15 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
     size = kakeya_size_from_images(image_sizes, n)
     if size > materialize_cap:
         return KakeyaSet(field, n, fn, image_sizes, size, None)
+    return KakeyaSet(field, n, fn, image_sizes, size, *kakeya_blocks(field, n, fn))
+
+
+def kakeya_blocks(field: Field, n: int, fn: FunctionSpec) -> tuple[np.ndarray, int]:
+    """The sorted distinct packed points of every (j, t) block, and the blocks' tuple count.
+
+    The image sets come from one sweep of every slope, and no closed form
+    is read.
+    """
     m = field.m
     if n * m > PACKED_BITS:
         raise ValueError(f"packed points need n*m <= {PACKED_BITS} bits, got {n * m}")
@@ -119,8 +128,7 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
             if j:
                 prefix = (prefix[:, None] | vals << ((j - 1) * m)).ravel()
             blocks.append(prefix | t << (j * m))
-    return KakeyaSet(field, n, fn, image_sizes, size, _sorted_distinct(np.concatenate(blocks)),
-                     block_count=sum(b.size for b in blocks))
+    return _sorted_distinct(np.concatenate(blocks)), sum(b.size for b in blocks)
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -218,52 +226,45 @@ def bound_eval(q: int, n: int) -> tuple[float, float]:
             1.5 * (2 * (q + r + 1) / 3.0) ** n)
 
 
-@dataclass
-class BoundReport:
-    q: int
-    n: int
-    f: str
-    measured_size: int
-    new_bound: float
-    klss_bound: float
-    new_ok: bool
-    klss_ok: bool
+def check_construction(field: Field, n: int, fn: FunctionSpec, materialize: bool = True) -> dict:
+    """Build K for f in F_q^n and check it: block count, both bounds, the lines.
 
-    @property
-    def ok(self) -> bool:
-        return self.new_ok and self.klss_ok
-
-
-def bound_report(field: Field, n: int, fn: FunctionSpec, size: int) -> BoundReport:
-    """Measured size against the parity-appropriate bound pair.
-
-    A bound that exceeds the size by 1e-6 or less aborts instead of
-    passing: integer sizes never sit that close to these bounds, so such
-    a margin means a float went wrong somewhere.
+    The points are materialized only when asked for, when the block total
+    fits DEFAULT_MATERIALIZE_CAP and when they pack into PACKED_BITS;
+    `skipped` says why points that were asked for were not. The row passes
+    when the enumerated blocks hold `size` tuples, the distinct points
+    number at most `size`, `size` lies below both bounds and, where points
+    exist, the verifier finds a line in every direction. A bound that
+    exceeds the size by 1e-6 or less aborts instead of passing: integer
+    sizes never sit that close to these bounds, so such a margin means a
+    float went wrong somewhere.
     """
-    new_bound, klss_bound = bound_eval(field.q, n)
-    for b in (new_bound, klss_bound):
+    packable = n * field.m <= PACKED_BITS
+    ks = build_kakeya(field, n, fn, DEFAULT_MATERIALIZE_CAP if materialize and packable else 0)
+    size = ks.size
+    bound_new, bound_klss = bound_eval(field.q, n)
+    for b in (bound_new, bound_klss):
         if 0.0 < b - size <= 1e-6:
             raise ArithmeticError(f"bound {b} suspiciously close to size {size}")
-    return BoundReport(q=field.q, n=n, f=function_label(fn), measured_size=size,
-                       new_bound=new_bound, klss_bound=klss_bound,
-                       new_ok=size < new_bound, klss_ok=size < klss_bound)
+    verified = None if ks.points is None else verify_kakeya(ks).ok
+    distinct = ks.distinct_point_count
+    skipped = None
+    if materialize and ks.points is None:
+        skipped = ("materialization cap exceeded" if packable
+                   else f"packed points need n*m <= {PACKED_BITS} bits")
+    ok = (ks.block_count in (None, size) and (distinct is None or distinct <= size)
+          and size < bound_new and size < bound_klss and verified is not False)
+    return {"q": field.q, "n": n, "f": function_label(fn), "size": size,
+            "bound_new": bound_new, "bound_klss": bound_klss, "kakeya_verified": verified,
+            "distinct_points": distinct, "block_count": ks.block_count, "skipped": skipped,
+            "ok": ok}
 
 
 def construction_case(m: int, n: int) -> dict:
-    """Build, verify and bound-check one (q, n) with the parity-matched map."""
-    field = make_field(m)
-    fn = Quartic() if m % 2 else Gold(m // 2)
-    ks = build_kakeya(field, n, fn)
-    ver = verify_kakeya(ks)
-    rep = bound_report(field, n, fn, ks.size)
-    ok = (ks.block_count == ks.size
-          and ver.ok and rep.ok
-          and ks.distinct_point_count <= ks.size)
-    return {"q": field.q, "n": n, "f": function_label(fn), "size": ks.size,
-            "distinct_points": ks.distinct_point_count,
-            "kakeya_verified": ver.ok, "bound_new": rep.new_bound,
-            "bound_klss": rep.klss_bound, "ok": ok}
+    """`check_construction` of one (q, n) with the parity-matched map, which must verify."""
+    row = check_construction(make_field(m), n, Quartic() if m % 2 else Gold(m // 2))
+    row["ok"] = row["ok"] and row["kakeya_verified"] is True
+    return row
 
 
 def construction_cases(m_max: int) -> list[tuple]:

@@ -188,6 +188,17 @@ def test_all_kakeya_construction_checks_block_count(workers, monkeypatch, capsys
     assert all(checks.values()) and code == 1
 
 
+@pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in (2, 3)])
+def test_kakeya_verb_matches_construction_case(m, n, capsys):
+    # the verb and `all`'s kakeya-construction report the same seven values
+    f = "quartic" if m % 2 else f"gold:{m // 2}"
+    assert main(["kakeya", "--m", str(m), "--n", str(n), "--f", f, "--check",
+                 "--format", "json"]) == 0
+    row = kakeya.construction_case(m, n)
+    assert json.loads(capsys.readouterr().out) == {
+        k: row[k] for k in ("q", "n", "f", "size", "bound_new", "bound_klss", "kakeya_verified")}
+
+
 def test_kakeya_verb_checks_block_count(monkeypatch, capsys):
     closed_form = kakeya.kakeya_size_from_images
     monkeypatch.setattr(kakeya, "kakeya_size_from_images",

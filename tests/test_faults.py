@@ -124,6 +124,9 @@ def _brute_force_routes(kakeya_sets) -> list:
         if m % 2 == 0:
             out.append(gold.verify_half_gold_structure(field))
     out.append([kakeya.verify_kakeya(ks) for ks in kakeya_sets])
+    # each built set is followed by its copy missing a point, whose blocks are the same
+    blocks = [kakeya.kakeya_blocks(ks.field, ks.n, ks.fn) for ks in kakeya_sets[::2]]
+    out.append([(points.tolist(), count) for points, count in blocks])
     return out
 
 
@@ -136,7 +139,8 @@ def test_brute_force_routes_call_no_closed_form(monkeypatch):
             # a set missing one point, so the verifier has a direction to find
             kakeya_sets += [ks, dataclasses.replace(ks, points=ks.points[1:])]
     expected = _brute_force_routes(kakeya_sets)
-    assert not all(r.ok for r in expected[-1])
+    assert not all(r.ok for r in expected[-2])
+    assert expected[-1] == [(ks.points.tolist(), ks.size) for ks in kakeya_sets[::2]]
 
     def raising(*args, **kwargs):
         raise _ClosedFormCalled

@@ -10,7 +10,7 @@ from kakeyagf import kakeya
 from kakeyagf.field import Field, make_field
 from kakeyagf.fiber import Gold, Quartic, image_values, values_all
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
-                             bound_report, build_kakeya, construction_case, is_gf2_affine,
+                             build_kakeya, check_construction, construction_case, is_gf2_affine,
                              kakeya_size_from_images, verify_kakeya)
 
 from helpers_naive import (SparseExponentSum, canonical_directions, elements, evaluate,
@@ -199,12 +199,18 @@ def test_bound_eval_validation():
         bound_eval(4, 0)
 
 
-def test_bound_report_gf4():
+def test_check_construction_gf4():
     f4 = make_field(2)
-    rep = bound_report(f4, 2, Gold(1), 15)
-    assert rep.new_ok and rep.klss_ok and rep.ok
-    assert (rep.new_bound, rep.klss_bound) == bound_eval(4, 2)
-    assert rep.new_bound == 18.0
+    row = check_construction(f4, 2, Gold(1))
+    assert row["ok"] and row["size"] == 15
+    assert (row["bound_new"], row["bound_klss"]) == bound_eval(4, 2)
+    assert row["bound_new"] == 18.0
+    assert (row["block_count"], row["distinct_points"]) == (15, 13)
+    assert row["kakeya_verified"] is True and row["skipped"] is None
+    # points not asked for: nothing is verified, and nothing counts as skipped
+    row = check_construction(f4, 2, Gold(1), materialize=False)
+    assert row["ok"] and row["size"] == 15
+    assert row["kakeya_verified"] is row["distinct_points"] is row["skipped"] is None
 
 
 def test_bound_dominance_rows():
