@@ -24,18 +24,27 @@ counts the w with Tr(p(w) + t*w) = 0. There are two routes to it:
 |v - q| <= 2*sqrt(q) holds for this cubic curve (checked, not assumed, by
 every sweep here), which caps |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8);
 `sharpness_search` reports the slopes that reach the cap.
+
+The brute-force side reads no closed form. `class_histograms` sweeps the
+map once per Frobenius class of slopes t != 0 and keeps the whole
+preimage histogram of each class; both full-slope checks read it:
+`fiber_formula_case` its omega_1, omega_3 and 5-or-more columns, and
+`image_exact_case` the image sizes q - omega_0. The histograms and the
+all-slope curve counts are computed once per field and kept here, each
+with the table array it came from, so `Field` knows nothing of this map.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 
 from .field import Field, exact_div, frobenius_class_count, make_field, xor_span
-from .fiber import FiberDistribution, Quartic, fiber_distribution, image_sizes_all, slope_values
+from .fiber import FiberDistribution, Quartic, fiber_distribution, slope_values
 
 
 def omega1_formula(m: int, tr_t: int) -> int:
@@ -94,6 +103,28 @@ class SharpnessResult:
     sharp: bool
 
 
+# field -> {build: (the table array the value came from, the value)}
+_per_field_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_field(field: Field, build, key: np.ndarray):
+    """build(field), computed once per field and kept, read-only, with `key`.
+
+    `key` is the field's current table array that the value depends on; the
+    caller fetches it on every access, so a table that was rebuilt since
+    (a new array) recomputes the entry, and one that fails its own check
+    raises before any entry is read.
+    """
+    entries = _per_field_cache.setdefault(field, {})
+    hit = entries.get(build)
+    if hit is None or hit[0] is not key:
+        value = build(field)
+        for a in value if isinstance(value, tuple) else (value,):
+            a.setflags(write=False)
+        hit = entries[build] = (key, value)
+    return hit[1]
+
+
 def _curve_counts_all(field: Field) -> np.ndarray:
     """v(t) for every slope t in encoding order, by one Walsh-Hadamard transform.
 
@@ -118,6 +149,16 @@ def _curve_counts_all(field: Field) -> np.ndarray:
     lin = xor_span(basis, np.empty(q, dtype=np.int64))
     zeros = exact_div(q + s[lin], 2)
     return 1 + 2 * (zeros - int(not tr[p[0]]))
+
+
+def _shared_curve_counts(field: Field) -> np.ndarray:
+    """`_curve_counts_all`, once per field for `image_exact_case` and `sharpness_search`.
+
+    Keyed by the log table: the transform reads no Frobenius class, so it
+    does not pay for the squaring check, which at m = 19 takes about twice
+    as long as the transform itself.
+    """
+    return _per_field(field, _curve_counts_all, field.log_table())
 
 
 def _size_from_count(q: int, v, delta):
@@ -173,7 +214,7 @@ def sharpness_search(field: Field) -> SharpnessResult:
         raise ValueError("the sharpness sweep applies to odd m")
     q = field.q
     bound = quartic_floor_bound(field.m)
-    sizes = _size_from_count(q, _curve_counts_all(field)[1:], field.trace_table()[1:])
+    sizes = _size_from_count(q, _shared_curve_counts(field)[1:], field.trace_table()[1:])
     best = int(sizes.max())
     witnesses = [int(t) for t in np.flatnonzero(sizes == best) + 1]
     return SharpnessResult(max_size=best, witnesses=witnesses, bound=bound,
@@ -183,36 +224,50 @@ def sharpness_search(field: Field) -> SharpnessResult:
 # ----------------------------------------------------------------------
 # sweeps used by the verification suite
 
-def class_fiber_counts(field: Field) -> dict[int, tuple[int, int, int]]:
-    """Brute force at the least t of each Frobenius class of slopes t != 0: the
-    numbers of values with exactly one, exactly three and five or more preimages."""
+def _class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
     q = field.q
-    rep = field.frobenius_classes()
-    out = {}
-    for t, vals in slope_values(field, Quartic(), np.flatnonzero(rep == np.arange(q))[1:]):
-        counts = np.bincount(vals, minlength=q)
-        out[int(t)] = (int(np.count_nonzero(counts == 1)), int(np.count_nonzero(counts == 3)),
-                       int(np.count_nonzero(counts >= 5)))
-    return out
+    reps = np.flatnonzero(field.frobenius_classes() == np.arange(q))[1:]
+    omega = np.empty((len(reps), 6), dtype=np.int64)
+    for row, (_, vals) in zip(omega, slope_values(field, Quartic(), reps)):
+        hist = np.bincount(np.bincount(vals, minlength=q), minlength=6)
+        row[:] = hist[:6]
+        if hist.size > 6:   # column 5 counts every value with 5 or more preimages
+            row[5] += hist[6:].sum()
+    return reps, omega
+
+
+def class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Brute force at the least t of each Frobenius class of slopes t != 0.
+
+    Returns the representatives in increasing order and, row for row, the
+    numbers of values with exactly 0, 1, 2, 3 and 4 preimages and with 5
+    or more: one sweep of the map and two `bincount`s per class. Computed
+    once per field and kept with the `frobenius_classes()` array it came
+    from; that array is fetched on every call, so a rebuilt table sweeps
+    again and a corrupted one raises.
+    """
+    return _per_field(field, _class_histograms, field.frobenius_classes())
 
 
 def fiber_formula_case(field: Field) -> dict:
     """All fiber histograms of one field against the closed forms.
 
-    Every slope is covered by `class_fiber_counts`: the histogram and
+    Every slope is covered by `class_histograms`: the histogram and
     Tr(t) are the same at every slope of a Frobenius class, so a failing
     class fails at each of its slopes, and `bad_t` lists the first eight
-    failing t in encoding order.
+    failing t in encoding order. The closed forms depend on t only through
+    Tr(t), so they are evaluated once for each trace value.
     """
     m = field.m
-    tr = field.trace_table()
     bad: list[int] = []
     measured = fiber_distribution(field, Quartic(), 0)
     if measured.nonzero() != omega0_distribution(m).nonzero():
         bad.append(0)
-    bad_reps = [t for t, counts in class_fiber_counts(field).items()
-                if counts != (omega1_formula(m, int(tr[t])), omega3_formula(int(tr[t])), 0)]
-    bad += np.flatnonzero(np.isin(field.frobenius_classes(), bad_reps)).tolist()
+    reps, omega = class_histograms(field)
+    expected = np.array([(omega1_formula(m, d), omega3_formula(d), 0) for d in (0, 1)])
+    wrong = np.any(omega[:, [1, 3, 5]] != expected[field.trace_table()[reps].astype(np.intp)],
+                   axis=1)
+    bad += np.flatnonzero(np.isin(field.frobenius_classes(), reps[wrong])).tolist()
     return {"m": m, "ok": not bad, "bad_t": bad[:8]}
 
 
@@ -229,14 +284,18 @@ def fiber_formula_sweep(m_max: int) -> list[dict]:
 def image_exact_case(field: Field) -> dict:
     """Formula-path image sizes vs brute force at every t != 0, and the Hasse gate.
 
-    The brute force is one sweep per Frobenius class (`image_sizes_all`);
-    the gate is |v - q| <= 2*sqrt(q) at every t != 0.
+    The brute-force size of a class is q - omega_0 of its `class_histograms`
+    row, spread to every slope through `frobenius_classes()`; the gate is
+    |v - q| <= 2*sqrt(q) at every t != 0.
     """
     q = field.q
-    v = _curve_counts_all(field)[1:]
+    reps, omega = class_histograms(field)
+    brute = np.zeros(q, dtype=np.int64)
+    brute[reps] = q - omega[:, 0]
+    v = _shared_curve_counts(field)[1:]
     hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
     sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
-    match_ok = bool(np.array_equal(sizes, image_sizes_all(field, Quartic())[1:]))
+    match_ok = bool(np.array_equal(sizes, brute[field.frobenius_classes()][1:]))
     return {"m": field.m, "hasse_ok": hasse_ok, "match_ok": match_ok,
             "brute_checked": q - 1, "ok": hasse_ok and match_ok}
 

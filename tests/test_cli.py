@@ -1,6 +1,7 @@
 """CLI surface: verbs, formats, exit codes, determinism."""
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -8,11 +9,14 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 
+import numpy as np
 import pytest
 
 from kakeyagf import bluher, gold, kakeya, quartic
 from kakeyagf.cli import _build_parser, main
+from kakeyagf.field import Field, make_field
 
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
 
@@ -159,20 +163,45 @@ def test_quartic_slope_counts_curve_once(monkeypatch, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_all_image_exact_checks_every_slope_at_13(workers, monkeypatch, capsys):
     # one wrong brute-force size at m = 13, at a slope that a seeded sample
-    # of 100 (random.Random(0)) would miss, must fail the check
-    image_sizes_all = quartic.image_sizes_all
+    # of 100 (random.Random(0)) would miss, must fail the check: omega_0 of
+    # slope 3's class, which the fiber formulas do not read
+    class_histograms = quartic.class_histograms
 
-    def off_by_one(field, fn):
-        sizes = image_sizes_all(field, fn)
+    def omega0_off_by_one(field):
+        reps, omega = class_histograms(field)
         if field.m == 13:
-            sizes[3] += 1
-        return sizes
+            omega = omega.copy()
+            omega[reps == field.frobenius_classes()[3], 0] += 1
+        return reps, omega
 
-    monkeypatch.setattr(quartic, "image_sizes_all", off_by_one)
+    monkeypatch.setattr(quartic, "class_histograms", omega0_off_by_one)
     code = main(["all", "--m-max", "13", "--format", "json", "-j", workers])
     checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks.pop("quartic-image-exact") is False
     assert all(checks.values()) and code == 1
+
+
+def test_all_sweeps_the_quartic_once_per_field(monkeypatch, capsys):
+    # quartic-fiber-formulas and quartic-image-exact read one set of class
+    # histograms, and quartic-floor-sharpness sweeps no slope; besides them
+    # only kakeya-construction sweeps the quartic, at m = 3
+    sweeps = collections.Counter()
+    slope_sweep = Field.slope_sweep
+
+    def counting(self, p, ts):
+        if np.array_equal(p, self.power_sum((4, 3))):
+            sweeps[self.m, self.modulus] += 1
+        return slope_sweep(self, p, ts)
+
+    monkeypatch.setattr(Field, "slope_sweep", counting)
+    kakeya.construction_sweep(13)
+    expected = collections.Counter({(m, make_field(m).modulus): 1 for m in range(1, 14)})
+    expected.update(sweeps)
+    sweeps.clear()
+    # the shared fields may hold histograms from earlier runs in this process
+    monkeypatch.setattr(quartic, "_per_field_cache", weakref.WeakKeyDictionary())
+    assert main(["all", "--m-max", "13", "--format", "json", "-j", "1"]) == 0
+    assert sweeps == expected
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -208,6 +237,26 @@ def test_kakeya_verb_checks_block_count(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "block enumeration counts 15 tuples, the closed form 16" in out.err
     assert json.loads(out.out)["kakeya_verified"] is True
+
+
+def test_kakeya_verb_holds_only_the_papers_map_to_the_bounds(monkeypatch, capsys):
+    # at q = 64, n = 3 Gold(1)'s set verifies with 119,766 blocks, above the
+    # new bound 85,313.8 that the paper proves for Gold(3) alone
+    args = ["kakeya", "--m", "6", "--n", "3", "--check", "--format", "json", "--f"]
+    assert main(args + ["gold:1"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["size"] == 119766 and row["size"] > row["bound_new"] and row["kakeya_verified"]
+
+    # bounds below every size: the paper's map now fails, any other still passes
+    monkeypatch.setattr(kakeya, "bound_eval", lambda q, n: (1.0, 1.0))
+    assert [main(args + [f]) for f in ("gold:3", "gold:1", "quartic")] == [1, 0, 0]
+
+    # a block count that disagrees with the closed form fails any map
+    closed_form = kakeya.kakeya_size_from_images
+    monkeypatch.setattr(kakeya, "kakeya_size_from_images",
+                        lambda image_sizes, n: closed_form(image_sizes, n) + 1)
+    assert main(args + ["gold:1"]) == 1
+    capsys.readouterr()
 
 
 def test_quartic_verb():

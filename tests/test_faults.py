@@ -7,20 +7,22 @@ the rows make every one of the nine checks fail at least once, so none of
 them compares a formula only with itself.
 
 Two more faults sit outside the closed forms. A corrupted antilog table
-is a library fault that `all` raises, not a FAIL row. And with every
+is a library fault that `all` raises, not a FAIL row, even where the
+quartic's class histograms were kept from the intact tables. And with every
 closed form patched to raise, the brute-force routes still run to the
 same results, so none of them goes through a formula.
 """
 
 import dataclasses
 import json
+import weakref
 
 import pytest
 
 import kakeyagf
 from kakeyagf import bluher, cli, fiber, gold, kakeya, quartic
 from kakeyagf.cli import main
-from kakeyagf.field import make_field
+from kakeyagf.field import Field, make_field
 from kakeyagf.fiber import Gold, Quartic
 
 
@@ -98,6 +100,25 @@ def test_swapped_antilog_entries_are_a_library_fault(m, k, workers, monkeypatch,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("case", [quartic.fiber_formula_case, quartic.image_exact_case],
+                         ids=["fiber_formula_case", "image_exact_case"])
+def test_kept_histograms_are_not_read_from_corrupted_tables(case):
+    # the class histograms and curve counts of intact tables are kept; after
+    # the swap of the test above, each case must raise, not read them
+    field = Field(7)
+    assert case(field)["ok"]
+    units, k = field.q - 1, 5
+    exp2 = field._tables()[1].copy()
+    exp2[[k, k + 1, units + k, units + k + 1]] = exp2[[k + 1, k, units + k + 1, units + k]]
+    log = field.log_table().copy()
+    log[exp2[[k, k + 1]]] = [k, k + 1]
+    field._exp2, field._exp, field._log = exp2, exp2[:units], log
+    field._frobenius = None
+    with pytest.raises(ArithmeticError,
+                       match=r"^squaring is not GF\(2\)-additive in the field tables$"):
+        case(field)
+
+
 CLOSED_FORMS = [
     (bluher, "bluher_formula"), (gold, "gold_profile"), (quartic, "omega0_distribution"),
     (quartic, "omega1_formula"), (quartic, "omega3_formula"), (quartic, "_size_from_count"),
@@ -120,7 +141,7 @@ def _brute_force_routes(kakeya_sets) -> list:
                      fiber.image_values(field, fn, t).tolist())
                     for fn in fns for t in (0, 1, field.q - 1)])
         out.append([bluher.bluher_bruteforce(field, i) for i in range(m)])
-        out.append(quartic.class_fiber_counts(field))
+        out.append([a.tolist() for a in quartic.class_histograms(field)])
         if m % 2 == 0:
             out.append(gold.verify_half_gold_structure(field))
     out.append([kakeya.verify_kakeya(ks) for ks in kakeya_sets])
@@ -154,4 +175,6 @@ def test_brute_force_routes_call_no_closed_form(monkeypatch):
 
     with pytest.raises(_ClosedFormCalled):   # the formula side of each check is patched
         quartic.image_exact_case(make_field(5))
+    # histograms kept from the first run would hide a closed form in their route
+    monkeypatch.setattr(quartic, "_per_field_cache", weakref.WeakKeyDictionary())
     assert _brute_force_routes(kakeya_sets) == expected

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kakeyagf.field import make_field
-from kakeyagf.fiber import Quartic, fiber_distribution, image_values
+from kakeyagf.fiber import Quartic, fiber_distribution, image_sizes_all, image_values
 from kakeyagf.quartic import (_curve_counts_all, curve_point_count,
                               fiber_formula_case, floor_bound_consistency, image_record,
                               omega0_distribution, omega1_formula, omega3_formula,
@@ -49,6 +49,24 @@ def test_omega0_matches_measured(m):
 @pytest.mark.parametrize("m", range(1, 8))
 def test_fiber_formulas_all_slopes(m):
     assert fiber_formula_case(make_field(m))["ok"]
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_class_histograms_match_single_slope_routes(m):
+    # q - omega_0 is the bitmap sweep's image size at every t, and each row is
+    # the single-slope histogram of its class's least slope
+    for modulus in naive_irreducibles(m, limit=2):
+        field = make_field(m, modulus)
+        reps, omega = quartic.class_histograms(field)
+        classes = field.frobenius_classes()
+        assert reps.tolist() == sorted(set(classes.tolist()) - {0})
+        brute = np.zeros(field.q, dtype=np.int64)
+        brute[reps] = field.q - omega[:, 0]
+        assert np.array_equal(brute[classes][1:], image_sizes_all(field, Quartic())[1:])
+        for t, row in zip(reps.tolist(), omega.tolist()):
+            assert row[5] == 0
+            assert {k: c for k, c in enumerate(row[:5]) if c} == \
+                fiber_distribution(field, Quartic(), t).omega
 
 
 @pytest.mark.parametrize("m", range(1, 11))
