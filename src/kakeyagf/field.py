@@ -40,8 +40,9 @@ least element of its class {t, t^2, t^4, ...}, once squaring has been
 checked GF(2)-additive in the tables; a map with coefficients in GF(2)
 has the same image size and fiber histogram at every slope of a class,
 so the full-slope sweeps run one slope per class.
-Fields are immutable after construction apart from the idempotent table
-caches, so instances are safe to share across workers.
+Fields are immutable after construction apart from their caches, the
+tables and the arrays `Field.derived` keeps with the table arrays they
+were built from, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class Field:
         self._exp2: np.ndarray | None = None  # exp doubled, avoids mod q-1 on index sums
         self._log: np.ndarray | None = None   # discrete log; log[0] is a masked sentinel
         self._trace: np.ndarray | None = None
-        self._frobenius: np.ndarray | None = None
+        self._derived: dict = {}   # build -> (the source arrays it read, its value)
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, modulus={self.modulus:x})"
@@ -321,8 +322,22 @@ class Field:
             self._trace = xor_span([bool(b) for b in basis], np.empty(self.q, dtype=bool))
         return self._trace
 
+    def derived(self, build, *sources):
+        """build(self), kept read-only with the table arrays it read, `sources`.
+
+        Callers fetch `sources` on every call, so a replaced table array
+        builds the value again, and a table that fails its check raises.
+        """
+        kept = self._derived.get(build)
+        if kept is None or any(a is not b for a, b in zip(kept[0], sources)):
+            value = build(self)
+            for a in value if isinstance(value, tuple) else (value,):
+                a.setflags(write=False)
+            kept = self._derived[build] = (sources, value)
+        return kept[1]
+
     def frobenius_classes(self) -> np.ndarray:
-        """For every t in encoding order, the least element of {t, t^2, t^4, ...}; cached.
+        """For every t in encoding order, the least element of {t, t^2, t^4, ...}; kept.
 
         Squaring is first checked GF(2)-additive in the table arithmetic:
         the XOR-extension of its values at the basis elements 2^j, built by
@@ -332,18 +347,19 @@ class Field:
         f(y) + t*y at y = sqrt(x), in the products the slope kernel takes:
         the slopes of one class share their image size and fiber histogram.
         """
-        if self._frobenius is None:
-            x = np.arange(self.q, dtype=np.int64)
-            sq = self.mul_arrays(x, x)
-            ext = xor_span(sq[1 << np.arange(self.m)], np.empty_like(sq))
-            if not np.array_equal(ext, sq):
-                raise ArithmeticError("squaring is not GF(2)-additive in the field tables")
-            rep, orbit = x.copy(), x
-            for _ in range(self.m - 1):
-                orbit = sq[orbit]
-                np.minimum(rep, orbit, out=rep)
-            self._frobenius = rep
-        return self._frobenius
+        return self.derived(Field._least_conjugates, *self._tables()[1:])
+
+    def _least_conjugates(self) -> np.ndarray:
+        x = np.arange(self.q, dtype=np.int64)
+        sq = self.mul_arrays(x, x)
+        ext = xor_span(sq[1 << np.arange(self.m)], np.empty_like(sq))
+        if not np.array_equal(ext, sq):
+            raise ArithmeticError("squaring is not GF(2)-additive in the field tables")
+        rep, orbit = x.copy(), x
+        for _ in range(self.m - 1):
+            orbit = sq[orbit]
+            np.minimum(rep, orbit, out=rep)
+        return rep
 
     def power_sum(self, exponents, const: int = 0, slope: int = 0) -> np.ndarray:
         """p(x) = const + slope*x + sum of x^e over exponents, in the kernel's order.

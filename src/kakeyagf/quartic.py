@@ -26,25 +26,25 @@ every sweep here), which caps |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8);
 `sharpness_search` reports the slopes that reach the cap.
 
 The brute-force side reads no closed form. `class_histograms` sweeps the
-map once per Frobenius class of slopes t != 0 and keeps the whole
-preimage histogram of each class; both full-slope checks read it:
-`fiber_formula_case` its omega_1, omega_3 and 5-or-more columns, and
-`image_exact_case` the image sizes q - omega_0. The histograms and the
-all-slope curve counts are computed once per field and kept here, each
-with the table array it came from, so `Field` knows nothing of this map.
+map once per Frobenius class of slopes, t = 0 among them, and keeps the
+whole preimage histogram of each class; both full-slope checks read it:
+`fiber_formula_case` the t = 0 row whole and the omega_1, omega_3 and
+5-or-more columns of the others, and `image_exact_case` the image sizes
+q - omega_0. The histograms and the all-slope curve counts are computed
+once per field and kept in `Field.derived`, each with the table array it
+came from; `Field` itself names no map.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 
 from .field import Field, exact_div, frobenius_class_count, make_field, xor_span
-from .fiber import FiberDistribution, Quartic, fiber_distribution, slope_values
+from .fiber import FiberDistribution, Quartic, slope_values
 
 
 def omega1_formula(m: int, tr_t: int) -> int:
@@ -103,28 +103,6 @@ class SharpnessResult:
     sharp: bool
 
 
-# field -> {build: (the table array the value came from, the value)}
-_per_field_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _per_field(field: Field, build, key: np.ndarray):
-    """build(field), computed once per field and kept, read-only, with `key`.
-
-    `key` is the field's current table array that the value depends on; the
-    caller fetches it on every access, so a table that was rebuilt since
-    (a new array) recomputes the entry, and one that fails its own check
-    raises before any entry is read.
-    """
-    entries = _per_field_cache.setdefault(field, {})
-    hit = entries.get(build)
-    if hit is None or hit[0] is not key:
-        value = build(field)
-        for a in value if isinstance(value, tuple) else (value,):
-            a.setflags(write=False)
-        hit = entries[build] = (key, value)
-    return hit[1]
-
-
 def _curve_counts_all(field: Field) -> np.ndarray:
     """v(t) for every slope t in encoding order, by one Walsh-Hadamard transform.
 
@@ -154,11 +132,11 @@ def _curve_counts_all(field: Field) -> np.ndarray:
 def _shared_curve_counts(field: Field) -> np.ndarray:
     """`_curve_counts_all`, once per field for `image_exact_case` and `sharpness_search`.
 
-    Keyed by the log table: the transform reads no Frobenius class, so it
+    Kept with the log table: the transform reads no Frobenius class, so it
     does not pay for the squaring check, which at m = 19 takes about twice
     as long as the transform itself.
     """
-    return _per_field(field, _curve_counts_all, field.log_table())
+    return field.derived(_curve_counts_all, field.log_table())
 
 
 def _size_from_count(q: int, v, delta):
@@ -226,7 +204,7 @@ def sharpness_search(field: Field) -> SharpnessResult:
 
 def _class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
     q = field.q
-    reps = np.flatnonzero(field.frobenius_classes() == np.arange(q))[1:]
+    reps = np.flatnonzero(field.frobenius_classes() == np.arange(q))
     omega = np.empty((len(reps), 6), dtype=np.int64)
     for row, (_, vals) in zip(omega, slope_values(field, Quartic(), reps)):
         hist = np.bincount(np.bincount(vals, minlength=q), minlength=6)
@@ -237,38 +215,44 @@ def _class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 def class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Brute force at the least t of each Frobenius class of slopes t != 0.
+    """Brute force at the least t of each Frobenius class of slopes.
 
-    Returns the representatives in increasing order and, row for row, the
-    numbers of values with exactly 0, 1, 2, 3 and 4 preimages and with 5
-    or more: one sweep of the map and two `bincount`s per class. Computed
-    once per field and kept with the `frobenius_classes()` array it came
+    Returns the representatives in increasing order, t = 0 first, and, row
+    for row, the numbers of values with exactly 0, 1, 2, 3 and 4 preimages
+    and with 5 or more: one sweep of the map and two `bincount`s per class.
+    Kept by `Field.derived` with the `frobenius_classes()` array it came
     from; that array is fetched on every call, so a rebuilt table sweeps
     again and a corrupted one raises.
     """
-    return _per_field(field, _class_histograms, field.frobenius_classes())
+    return field.derived(_class_histograms, field.frobenius_classes())
+
+
+def _spread(field: Field, reps: np.ndarray, per_class: np.ndarray) -> np.ndarray:
+    """A value per Frobenius class, given at its representative, read at every slope."""
+    out = np.zeros(field.q, dtype=per_class.dtype)
+    out[reps] = per_class
+    return out[field.frobenius_classes()]
 
 
 def fiber_formula_case(field: Field) -> dict:
     """All fiber histograms of one field against the closed forms.
 
-    Every slope is covered by `class_histograms`: the histogram and
+    Every slope is covered by `class_histograms`: row 0, t = 0, holds the
+    whole histogram to `omega0_distribution`; at t != 0 the histogram and
     Tr(t) are the same at every slope of a Frobenius class, so a failing
     class fails at each of its slopes, and `bad_t` lists the first eight
-    failing t in encoding order. The closed forms depend on t only through
-    Tr(t), so they are evaluated once for each trace value.
+    failing t in encoding order. The closed forms depend on t != 0 only
+    through Tr(t), so they are evaluated once for each trace value.
     """
     m = field.m
-    bad: list[int] = []
-    measured = fiber_distribution(field, Quartic(), 0)
-    if measured.nonzero() != omega0_distribution(m).nonzero():
-        bad.append(0)
     reps, omega = class_histograms(field)
     expected = np.array([(omega1_formula(m, d), omega3_formula(d), 0) for d in (0, 1)])
     wrong = np.any(omega[:, [1, 3, 5]] != expected[field.trace_table()[reps].astype(np.intp)],
                    axis=1)
-    bad += np.flatnonzero(np.isin(field.frobenius_classes(), reps[wrong])).tolist()
-    return {"m": m, "ok": not bad, "bad_t": bad[:8]}
+    at_zero = {k: int(c) for k, c in enumerate(omega[0]) if c}
+    wrong[0] = at_zero != omega0_distribution(m).nonzero()
+    bad = np.flatnonzero(_spread(field, reps, wrong))[:8].tolist()
+    return {"m": m, "ok": not bad, "bad_t": bad}
 
 
 def fiber_formula_cases(m_max: int) -> list[tuple]:
@@ -290,12 +274,10 @@ def image_exact_case(field: Field) -> dict:
     """
     q = field.q
     reps, omega = class_histograms(field)
-    brute = np.zeros(q, dtype=np.int64)
-    brute[reps] = q - omega[:, 0]
     v = _shared_curve_counts(field)[1:]
     hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
     sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
-    match_ok = bool(np.array_equal(sizes, brute[field.frobenius_classes()][1:]))
+    match_ok = bool(np.array_equal(sizes, _spread(field, reps, q - omega[:, 0])[1:]))
     return {"m": field.m, "hasse_ok": hasse_ok, "match_ok": match_ok,
             "brute_checked": q - 1, "ok": hasse_ok and match_ok}
 

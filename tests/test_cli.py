@@ -9,7 +9,6 @@ import os
 import signal
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -183,25 +182,34 @@ def test_all_image_exact_checks_every_slope_at_13(workers, monkeypatch, capsys):
 
 def test_all_sweeps_the_quartic_once_per_field(monkeypatch, capsys):
     # quartic-fiber-formulas and quartic-image-exact read one set of class
-    # histograms, and quartic-floor-sharpness sweeps no slope; besides them
-    # only kakeya-construction sweeps the quartic, at m = 3
-    sweeps = collections.Counter()
-    slope_sweep = Field.slope_sweep
+    # histograms, t = 0 among them, from one build of the map, and
+    # quartic-floor-sharpness sweeps no slope; besides them only
+    # kakeya-construction builds and sweeps the quartic, at m = 3
+    sweeps, builds = collections.Counter(), collections.Counter()
+    slope_sweep, power_sum = Field.slope_sweep, Field.power_sum
 
-    def counting(self, p, ts):
-        if np.array_equal(p, self.power_sum((4, 3))):
+    def counting_sweep(self, p, ts):
+        if np.array_equal(p, power_sum(self, (4, 3))):
             sweeps[self.m, self.modulus] += 1
         return slope_sweep(self, p, ts)
 
-    monkeypatch.setattr(Field, "slope_sweep", counting)
+    def counting_build(self, exponents, *args, **kwargs):
+        if tuple(exponents) == (4, 3):   # with or without a slope
+            builds[self.m, self.modulus] += 1
+        return power_sum(self, exponents, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "slope_sweep", counting_sweep)
+    monkeypatch.setattr(Field, "power_sum", counting_build)
     kakeya.construction_sweep(13)
-    expected = collections.Counter({(m, make_field(m).modulus): 1 for m in range(1, 14)})
-    expected.update(sweeps)
+    per_field = collections.Counter({(m, make_field(m).modulus): 1 for m in range(1, 14)})
+    expected = [per_field + sweeps, per_field + builds]
     sweeps.clear()
+    builds.clear()
     # the shared fields may hold histograms from earlier runs in this process
-    monkeypatch.setattr(quartic, "_per_field_cache", weakref.WeakKeyDictionary())
+    for m in range(1, 14):
+        monkeypatch.setattr(make_field(m), "_derived", {})
     assert main(["all", "--m-max", "13", "--format", "json", "-j", "1"]) == 0
-    assert sweeps == expected
+    assert [sweeps, builds] == expected
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

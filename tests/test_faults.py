@@ -15,7 +15,6 @@ same results, so none of them goes through a formula.
 
 import dataclasses
 import json
-import weakref
 
 import pytest
 
@@ -79,21 +78,29 @@ def test_every_check_has_a_fault(capsys):
     assert set().union(*(failing for *_, failing in FAULTS)) == names
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("m, k", [(5, 7), (7, 5), (7, 60), (8, 100), (9, 3)])
-def test_swapped_antilog_entries_are_a_library_fault(m, k, workers, monkeypatch, capsys):
-    # exp and log stay inverse to each other, but the product they define is
-    # no longer the field's; patched on the shared instance, and undone after
-    field = make_field(m)
+def _swapped_antilog(field, k):
+    """Copies of the field's (exp2, log) with g^k and g^(k+1) swapped.
+
+    exp and log stay inverse to each other, but the product they define is
+    no longer the field's.
+    """
     units = field.q - 1
     exp2 = field._tables()[1].copy()
     exp2[[k, k + 1, units + k, units + k + 1]] = exp2[[k + 1, k, units + k + 1, units + k]]
     log = field.log_table().copy()
     log[exp2[[k, k + 1]]] = [k, k + 1]
+    return exp2, log
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("m, k", [(5, 7), (7, 5), (7, 60), (8, 100), (9, 3)])
+def test_swapped_antilog_entries_are_a_library_fault(m, k, workers, monkeypatch, capsys):
+    # patched on the shared instance, and undone after
+    field = make_field(m)
+    exp2, log = _swapped_antilog(field, k)
     monkeypatch.setattr(field, "_exp2", exp2)
-    monkeypatch.setattr(field, "_exp", exp2[:units])
+    monkeypatch.setattr(field, "_exp", exp2[:field.q - 1])
     monkeypatch.setattr(field, "_log", log)
-    monkeypatch.setattr(field, "_frobenius", None)   # cached from the intact tables
     with pytest.raises(ArithmeticError,
                        match=r"^squaring is not GF\(2\)-additive in the field tables$"):
         main(["all", "--m-max", "9", "--format", "json", "-j", workers])
@@ -107,16 +114,25 @@ def test_kept_histograms_are_not_read_from_corrupted_tables(case):
     # the swap of the test above, each case must raise, not read them
     field = Field(7)
     assert case(field)["ok"]
-    units, k = field.q - 1, 5
-    exp2 = field._tables()[1].copy()
-    exp2[[k, k + 1, units + k, units + k + 1]] = exp2[[k + 1, k, units + k + 1, units + k]]
-    log = field.log_table().copy()
-    log[exp2[[k, k + 1]]] = [k, k + 1]
-    field._exp2, field._exp, field._log = exp2, exp2[:units], log
-    field._frobenius = None
+    exp2, log = _swapped_antilog(field, 5)
+    field._exp2, field._exp, field._log = exp2, exp2[:field.q - 1], log
     with pytest.raises(ArithmeticError,
                        match=r"^squaring is not GF\(2\)-additive in the field tables$"):
         case(field)
+
+
+def test_swapped_tables_rebuild_every_kept_array():
+    # with every derived array kept from the intact tables and nothing reset
+    # by hand, the classes and both quartic cases are built again from the
+    # swapped tables and raise
+    field = Field(7)
+    assert quartic.fiber_formula_case(field)["ok"] and quartic.image_exact_case(field)["ok"]
+    exp2, log = _swapped_antilog(field, 5)
+    field._exp2, field._exp, field._log = exp2, exp2[:field.q - 1], log
+    for fn in (Field.frobenius_classes, quartic.fiber_formula_case, quartic.image_exact_case):
+        with pytest.raises(ArithmeticError,
+                           match=r"^squaring is not GF\(2\)-additive in the field tables$"):
+            fn(field)
 
 
 CLOSED_FORMS = [
@@ -176,5 +192,6 @@ def test_brute_force_routes_call_no_closed_form(monkeypatch):
     with pytest.raises(_ClosedFormCalled):   # the formula side of each check is patched
         quartic.image_exact_case(make_field(5))
     # histograms kept from the first run would hide a closed form in their route
-    monkeypatch.setattr(quartic, "_per_field_cache", weakref.WeakKeyDictionary())
+    for m in range(2, 10):
+        monkeypatch.setattr(make_field(m), "_derived", {})
     assert _brute_force_routes(kakeya_sets) == expected

@@ -74,7 +74,7 @@ def test_full_slope_checks_sweep_one_slope_per_class(monkeypatch):
         assert sorted(asked) == reps
     asked.clear()
     fiber_formula_case(field)
-    assert sorted(asked) == reps[1:]   # t = 0 is a single-slope query, built by power_sum
+    assert sorted(asked) == reps   # t = 0 among them, swept with the other classes
 
 
 @pytest.mark.parametrize("m", range(1, 11))

@@ -71,6 +71,16 @@ def test_all_starts_one_pool(monkeypatch, capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_verify_bluher_report_matches_across_workers(capsys):
+    # verify-bluher deals its (m, i) cases to the workers one at a time
+    reports = []
+    for workers in ("1", "2"):
+        assert cli.main(["verify-bluher", "--m-max", "9", "--format", "json",
+                         "-j", workers]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_stage_rows_match_across_workers():
     serial = cli._stage_rows(7, 1)
     assert [name for name, _ in serial] == [
