@@ -14,7 +14,7 @@ echoes it in its report.
 Exit codes: 0 all verdicts pass, 1 any verification failure, 2 usage
 error. argparse checks each option on its own through its `type=`; a verb
 checks only the rules between its inputs and the sweep budget, and
-`bounds` refuses the ranges whose bounds overflow a float. So exit 2
+`bounds` and `kakeya` refuse the inputs whose bounds overflow a float. So exit 2
 means bad input and nothing else; any other exception raised inside the
 library is a fault and propagates.
 """
@@ -191,12 +191,13 @@ def _run_quartic(args: argparse.Namespace) -> int:
                    "image_size": dist.image_size()}
         ok = True
         if m % 2 == 1 and t != 0:
-            rec = quartic.image_record(field, t)
-            payload.update({"v": rec.count.v, "delta": rec.count.delta,
-                            "image_size_exact": rec.exact_size,
-                            "floor_bound": rec.floor_bound, "sharp": rec.sharp})
-            ok = rec.exact_size == dist.image_size()
-            payload["formula_matches_bruteforce"] = ok
+            c = quartic.curve_point_count(field, t)
+            size = quartic._size_from_count(field.q, c.v, c.delta)
+            bound = quartic.quartic_floor_bound(m)
+            ok = size == dist.image_size()
+            payload.update({"v": c.v, "delta": c.delta, "image_size_exact": size,
+                            "floor_bound": bound, "sharp": size == bound,
+                            "formula_matches_bruteforce": ok})
         _emit(payload, None, args.format)
         return 0 if ok else 1
     payload = {"m": m, "q": field.q}
@@ -230,6 +231,10 @@ def _run_kakeya(args: argparse.Namespace) -> int:
     field = _field_for(args)
     if isinstance(args.f, Gold) and not 0 <= args.f.i < field.m:
         raise UsageError(f"gold index {args.f.i} outside 0..{field.m - 1}")
+    try:  # before the build, whose block total can take minutes at such n
+        kakeya.bound_eval(field.q, args.n)
+    except OverflowError:
+        raise UsageError(f"--m {args.m} with --n {args.n} gives bounds past the float range")
     try:  # only the line check uses the points
         row = kakeya.check_construction(field, args.n, args.f, materialize=args.check)
     except kakeya.AffineMapError as exc:

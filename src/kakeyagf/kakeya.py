@@ -246,10 +246,10 @@ def check_construction(field: Field, n: int, fn: FunctionSpec, materialize: bool
     that close to these bounds, so such a margin means a float went wrong
     somewhere.
     """
+    bound_new, bound_klss = bound_eval(field.q, n)   # an overflow raises before the build
     packable = n * field.m <= PACKED_BITS
     ks = build_kakeya(field, n, fn, DEFAULT_MATERIALIZE_CAP if materialize and packable else 0)
     size = ks.size
-    bound_new, bound_klss = bound_eval(field.q, n)
     for b in (bound_new, bound_klss):
         if 0.0 < b - size <= 1e-6:
             raise ArithmeticError(f"bound {b} suspiciously close to size {size}")

@@ -26,13 +26,14 @@ every sweep here), which caps |I(t)| by floor(5q/8 + (2*sqrt(q) + 5)/8);
 `sharpness_search` reports the slopes that reach the cap.
 
 The brute-force side reads no closed form. `class_histograms` sweeps the
-map once per Frobenius class of slopes, t = 0 among them, and keeps the
-whole preimage histogram of each class; both full-slope checks read it:
-`fiber_formula_case` the t = 0 row whole and the omega_1, omega_3 and
-5-or-more columns of the others, and `image_exact_case` the image sizes
-q - omega_0. The histograms and the all-slope curve counts are computed
-once per field and kept in `Field.derived`, each with the table array it
-came from; `Field` itself names no map.
+map once per Frobenius class of slopes, t = 0 among them, and returns the
+whole preimage histogram of every slope, one row per t; both full-slope
+checks read those rows: `fiber_formula_case` the t = 0 row whole and the
+omega_1, omega_3 and 5-or-more columns of the others, and
+`image_exact_case` the image sizes q - omega_0. The histograms and the
+all-slope curve counts are computed once per field and kept in
+`Field.derived`, each with the table array it came from; `Field` itself
+names no map.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ class CurvePointCount:
     t: int
     v: int      # pairs (x, z) with x^2 + z*x = z^3 + z^2 + t
     delta: int  # Tr(t)
-
-
-@dataclass
-class QuarticImageRecord:
-    count: CurvePointCount  # the slope's curve count the size comes from
-    exact_size: int
-    floor_bound: int
-    sharp: bool
 
 
 @dataclass
@@ -171,21 +164,6 @@ def quartic_floor_bound(m: int) -> int:
     return (5 * q + 5 + math.isqrt(4 * q)) // 8
 
 
-def image_record(field: Field, t: int) -> QuarticImageRecord:
-    """|{x^4 + x^3 + t*x}| from one curve pair count, against the floor bound.
-
-    Odd m and t != 0 only.
-    """
-    if field.m % 2 == 0:
-        raise ValueError("the exact image-size formula needs odd m")
-    if t == 0:
-        raise ValueError("the exact image-size formula needs t != 0")
-    c = curve_point_count(field, t)
-    size = _size_from_count(field.q, c.v, c.delta)
-    bound = quartic_floor_bound(field.m)
-    return QuarticImageRecord(count=c, exact_size=size, floor_bound=bound, sharp=size == bound)
-
-
 def sharpness_search(field: Field) -> SharpnessResult:
     """Exact size of every t != 0 from the all-slope counts; collect the argmax ts."""
     if field.m % 2 == 0:
@@ -202,57 +180,49 @@ def sharpness_search(field: Field) -> SharpnessResult:
 # ----------------------------------------------------------------------
 # sweeps used by the verification suite
 
-def _class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
+def _class_histograms(field: Field) -> np.ndarray:
     q = field.q
-    reps = np.flatnonzero(field.frobenius_classes() == np.arange(q))
-    omega = np.empty((len(reps), 6), dtype=np.int64)
-    for row, (_, vals) in zip(omega, slope_values(field, Quartic(), reps)):
+    classes = field.frobenius_classes()
+    omega = np.empty((q, 6), dtype=np.int64)
+    for t, vals in slope_values(field, Quartic(), np.flatnonzero(classes == np.arange(q))):
         hist = np.bincount(np.bincount(vals, minlength=q), minlength=6)
-        row[:] = hist[:6]
+        omega[t] = hist[:6]
         if hist.size > 6:   # column 5 counts every value with 5 or more preimages
-            row[5] += hist[6:].sum()
-    return reps, omega
+            omega[t, 5] += hist[6:].sum()
+    return omega[classes]
 
 
-def class_histograms(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Brute force at the least t of each Frobenius class of slopes.
+def class_histograms(field: Field) -> np.ndarray:
+    """Brute-force preimage histogram of every slope t, row t in encoding order.
 
-    Returns the representatives in increasing order, t = 0 first, and, row
-    for row, the numbers of values with exactly 0, 1, 2, 3 and 4 preimages
-    and with 5 or more: one sweep of the map and two `bincount`s per class.
-    Kept by `Field.derived` with the `frobenius_classes()` array it came
-    from; that array is fetched on every call, so a rebuilt table sweeps
-    again and a corrupted one raises.
+    Row t holds the numbers of values with exactly 0, 1, 2, 3 and 4
+    preimages under x^4 + x^3 + t*x and with 5 or more. The map is swept
+    once per Frobenius class of slopes, t = 0 among them, at the class's
+    least slope, and that row is read at every slope of the class: one
+    sweep and two `bincount`s per class. Kept by `Field.derived` with the
+    `frobenius_classes()` array it came from; that array is fetched on
+    every call, so a rebuilt table sweeps again and a corrupted one raises.
     """
     return field.derived(_class_histograms, field.frobenius_classes())
-
-
-def _spread(field: Field, reps: np.ndarray, per_class: np.ndarray) -> np.ndarray:
-    """A value per Frobenius class, given at its representative, read at every slope."""
-    out = np.zeros(field.q, dtype=per_class.dtype)
-    out[reps] = per_class
-    return out[field.frobenius_classes()]
 
 
 def fiber_formula_case(field: Field) -> dict:
     """All fiber histograms of one field against the closed forms.
 
-    Every slope is covered by `class_histograms`: row 0, t = 0, holds the
-    whole histogram to `omega0_distribution`; at t != 0 the histogram and
-    Tr(t) are the same at every slope of a Frobenius class, so a failing
-    class fails at each of its slopes, and `bad_t` lists the first eight
-    failing t in encoding order. The closed forms depend on t != 0 only
-    through Tr(t), so they are evaluated once for each trace value.
+    Row 0 of `class_histograms`, t = 0, is held whole to
+    `omega0_distribution`, and every other row's omega_1, omega_3 and
+    5-or-more columns to the closed forms at its Tr(t); `bad_t` lists the
+    first eight failing t in encoding order. The closed forms depend on
+    t != 0 only through Tr(t), so they are evaluated once for each trace
+    value.
     """
     m = field.m
-    reps, omega = class_histograms(field)
+    omega = class_histograms(field)
     expected = np.array([(omega1_formula(m, d), omega3_formula(d), 0) for d in (0, 1)])
-    wrong = np.any(omega[:, [1, 3, 5]] != expected[field.trace_table()[reps].astype(np.intp)],
-                   axis=1)
+    wrong = np.any(omega[:, [1, 3, 5]] != expected[field.trace_table().astype(np.intp)], axis=1)
     at_zero = {k: int(c) for k, c in enumerate(omega[0]) if c}
     wrong[0] = at_zero != omega0_distribution(m).nonzero()
-    bad = np.flatnonzero(_spread(field, reps, wrong))[:8].tolist()
-    return {"m": m, "ok": not bad, "bad_t": bad}
+    return {"m": m, "ok": not wrong.any(), "bad_t": np.flatnonzero(wrong)[:8].tolist()}
 
 
 def fiber_formula_cases(m_max: int) -> list[tuple]:
@@ -268,16 +238,15 @@ def fiber_formula_sweep(m_max: int) -> list[dict]:
 def image_exact_case(field: Field) -> dict:
     """Formula-path image sizes vs brute force at every t != 0, and the Hasse gate.
 
-    The brute-force size of a class is q - omega_0 of its `class_histograms`
-    row, spread to every slope through `frobenius_classes()`; the gate is
-    |v - q| <= 2*sqrt(q) at every t != 0.
+    The brute-force size at t is q - omega_0 of row t of `class_histograms`;
+    the gate is |v - q| <= 2*sqrt(q) at every t != 0.
     """
     q = field.q
-    reps, omega = class_histograms(field)
+    omega = class_histograms(field)
     v = _shared_curve_counts(field)[1:]
     hasse_ok = bool(np.all((v - q) ** 2 <= 4 * q))
     sizes = _size_from_count(q, v, field.trace_table()[1:])   # slopes 1..q-1
-    match_ok = bool(np.array_equal(sizes, _spread(field, reps, q - omega[:, 0])[1:]))
+    match_ok = bool(np.array_equal(sizes, q - omega[1:, 0]))
     return {"m": field.m, "hasse_ok": hasse_ok, "match_ok": match_ok,
             "brute_checked": q - 1, "ok": hasse_ok and match_ok}
 

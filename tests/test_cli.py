@@ -16,6 +16,7 @@ import pytest
 from kakeyagf import bluher, gold, kakeya, quartic
 from kakeyagf.cli import _build_parser, main
 from kakeyagf.field import Field, make_field
+from helpers_naive import naive_irreducibles
 
 CMD = [sys.executable, "-m", "kakeyagf.cli"]
 
@@ -159,19 +160,43 @@ def test_quartic_slope_counts_curve_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["formula_matches_bruteforce"] is True
 
 
+def _slope_reports(modulus, capsys):
+    for t in range(1, 32):
+        code = main(["quartic", "--m", "5", "--t", f"{t:x}", "--modulus", f"{modulus:x}",
+                     "--format", "json"])
+        yield code, json.loads(capsys.readouterr().out)
+
+
+def test_quartic_slope_exact_size_at_every_slope(monkeypatch, capsys):
+    # the size formula at one curve count matches the slope's own histogram
+    # at every t != 0, under the default modulus and a second one, and the
+    # formula off by one fails every slope
+    moduli = naive_irreducibles(5, limit=2)
+    for modulus in moduli:
+        for code, payload in _slope_reports(modulus, capsys):
+            assert code == 0 and payload["image_size_exact"] == payload["image_size"]
+            assert payload["formula_matches_bruteforce"] is True
+    size_from_count = quartic._size_from_count
+    monkeypatch.setattr(quartic, "_size_from_count", lambda *args: size_from_count(*args) + 1)
+    for modulus in moduli:
+        for code, payload in _slope_reports(modulus, capsys):
+            assert code == 1 and payload["formula_matches_bruteforce"] is False
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_all_image_exact_checks_every_slope_at_13(workers, monkeypatch, capsys):
-    # one wrong brute-force size at m = 13, at a slope that a seeded sample
-    # of 100 (random.Random(0)) would miss, must fail the check: omega_0 of
-    # slope 3's class, which the fiber formulas do not read
+    # one wrong brute-force size at m = 13, at slopes that a seeded sample
+    # of 100 (random.Random(0)) would miss, must fail the check: omega_0 in
+    # the rows of slope 3's class, which the fiber formulas do not read
     class_histograms = quartic.class_histograms
 
     def omega0_off_by_one(field):
-        reps, omega = class_histograms(field)
+        omega = class_histograms(field)
         if field.m == 13:
+            classes = field.frobenius_classes()
             omega = omega.copy()
-            omega[reps == field.frobenius_classes()[3], 0] += 1
-        return reps, omega
+            omega[classes == classes[3], 0] += 1
+        return omega
 
     monkeypatch.setattr(quartic, "class_histograms", omega0_off_by_one)
     code = main(["all", "--m-max", "13", "--format", "json", "-j", workers])
@@ -386,6 +411,21 @@ def test_kakeya_library_fault_is_not_usage_error(monkeypatch):
     monkeypatch.setattr(kakeya, "build_kakeya", fault)
     with pytest.raises(ValueError, match="internal fault"):
         main(["kakeya", "--m", "2", "--n", "2", "--f", "gold:1"])
+
+
+@pytest.mark.parametrize("args", [["--m", "2", "--n", "700", "--f", "gold:1"],
+                                  ["--m", "6", "--n", "1000000", "--f", "gold:3"]])
+def test_kakeya_refuses_bounds_past_float_range(args, monkeypatch, capsys):
+    # refused before the build, whose big-integer block total alone runs for
+    # many seconds at n = 10^6
+    def built(*_, **__):
+        raise AssertionError("build_kakeya called")
+
+    monkeypatch.setattr(kakeya, "build_kakeya", built)
+    assert main(["kakeya"] + args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --m {args[1]} with --n {args[3]} gives bounds past the float range\n"
 
 
 def test_kakeya_check_skipped_above_packed_bits(capsys):

@@ -157,7 +157,7 @@ def _brute_force_routes(kakeya_sets) -> list:
                      fiber.image_values(field, fn, t).tolist())
                     for fn in fns for t in (0, 1, field.q - 1)])
         out.append([bluher.bluher_bruteforce(field, i) for i in range(m)])
-        out.append([a.tolist() for a in quartic.class_histograms(field)])
+        out.append(quartic.class_histograms(field).tolist())
         if m % 2 == 0:
             out.append(gold.verify_half_gold_structure(field))
     out.append([kakeya.verify_kakeya(ks) for ks in kakeya_sets])

@@ -6,8 +6,8 @@ import pytest
 
 from kakeyagf.field import make_field
 from kakeyagf.fiber import Quartic, fiber_distribution, image_sizes_all, image_values
-from kakeyagf.quartic import (_curve_counts_all, curve_point_count,
-                              fiber_formula_case, floor_bound_consistency, image_record,
+from kakeyagf.quartic import (_curve_counts_all, _size_from_count, curve_point_count,
+                              fiber_formula_case, floor_bound_consistency,
                               omega0_distribution, omega1_formula, omega3_formula,
                               quartic_floor_bound, sharpness_search)
 
@@ -53,20 +53,18 @@ def test_fiber_formulas_all_slopes(m):
 
 @pytest.mark.parametrize("m", range(1, 12))
 def test_class_histograms_match_single_slope_routes(m):
-    # q - omega_0 is the bitmap sweep's image size at every t, and each row is
-    # the single-slope histogram of its class's least slope, t = 0 first
+    # row t is the single-slope histogram of t at every slope, not only at
+    # the swept least slope of each class, and q - omega_0 is the bitmap
+    # sweep's image size
     for modulus in naive_irreducibles(m, limit=2):
         field = make_field(m, modulus)
-        reps, omega = quartic.class_histograms(field)
-        classes = field.frobenius_classes()
-        assert reps.tolist() == sorted(set(classes.tolist()))
-        brute = np.zeros(field.q, dtype=np.int64)
-        brute[reps] = field.q - omega[:, 0]
-        assert np.array_equal(brute[classes], image_sizes_all(field, Quartic()))
-        for t, row in zip(reps.tolist(), omega.tolist()):
+        omega = quartic.class_histograms(field)
+        assert omega.shape == (field.q, 6)
+        assert np.array_equal(field.q - omega[:, 0], image_sizes_all(field, Quartic()))
+        for t, row in enumerate(omega.tolist()):
             assert row[5] == 0
             assert {k: c for k, c in enumerate(row[:5]) if c} == \
-                fiber_distribution(field, Quartic(), t).omega
+                fiber_distribution(field, Quartic(), t).omega, t
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -80,8 +78,8 @@ def test_fiber_formula_case_matches_full_sweep(m):
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_fiber_formula_case_expands_failing_classes(m, monkeypatch):
-    # a wrong formula for Tr(t) = 1 fails every such slope; the classes it
-    # fails on are expanded into the first eight slopes in encoding order
+    # a wrong formula for Tr(t) = 1 fails every such slope, and `bad_t`
+    # lists the first eight of them in encoding order
     formula = quartic.omega1_formula
     monkeypatch.setattr(quartic, "omega1_formula",
                         lambda m, tr_t: formula(m, tr_t) + tr_t)
@@ -127,28 +125,26 @@ def test_curve_count_gf2():
     assert c.v in (1, 2, 3)
 
 
+def _exact_size(field, t):
+    c = curve_point_count(field, t)
+    return _size_from_count(field.q, c.v, c.delta)
+
+
 def test_image_exact_frozen_gf8():
     # sizes derived by per-element image scans: [5,5,6,5,6,5,6] for t=1..7
     field = make_field(3)
     expected = [5, 5, 6, 5, 6, 5, 6]
     for t in range(1, 8):
-        size = image_record(field, t).exact_size
+        size = _exact_size(field, t)
         assert size == expected[t - 1] == len(image_values(field, Quartic(), t))
-        assert size <= 6
+        assert size <= quartic_floor_bound(3) == 6
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_image_exact_matches_scan(m):
     field = make_field(m)
     for t in range(1, field.q):
-        assert image_record(field, t).exact_size == len(naive_image(field, Quartic(), t))
-
-
-def test_image_exact_domain_errors():
-    with pytest.raises(ValueError):
-        image_record(make_field(4), 1)
-    with pytest.raises(ValueError):
-        image_record(make_field(3), 0)
+        assert _exact_size(field, t) == len(naive_image(field, Quartic(), t))
 
 
 def test_hasse_window_small():
@@ -188,10 +184,3 @@ def test_sharpness_small():
     assert (r.max_size, r.bound, r.sharp) == (22, 22, True)
     with pytest.raises(ValueError):
         sharpness_search(make_field(4))
-
-
-def test_image_record():
-    rec = image_record(make_field(3), 3)
-    assert (rec.exact_size, rec.floor_bound, rec.sharp) == (6, 6, True)
-    assert (rec.count.t, rec.count.v, rec.count.delta) == (3, 5, 1)
-
