@@ -27,8 +27,8 @@ class BluherCount:
     i: int
     d: int
     n0_formula: int
-    n0_bruteforce: int | None = None
-    agree: bool | None = None
+    n0_bruteforce: int
+    agree: bool
 
 
 def bluher_formula(m: int, i: int) -> int:

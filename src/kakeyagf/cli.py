@@ -165,13 +165,11 @@ def _run_gold(args: argparse.Namespace) -> int:
         payload["profile_matches_bruteforce"] = case["ok"]
         ok = case["ok"]
         if field.m % 2 == 0 and args.i == field.m // 2:
-            st = gold.verify_half_gold_structure(field)
-            payload["image_is_subfield"] = st.image_is_subfield
-            payload["injective_on_trace_one"] = st.injective_on_trace_one
-            payload["two_to_one_elsewhere"] = st.two_to_one_elsewhere
-            payload["image_size_at_one"] = st.image_size_at_one
+            half = gold.half_gold_case(field)
+            payload.update({k: half[k] for k in ("image_is_subfield", "injective_on_trace_one",
+                                                 "two_to_one_elsewhere", "image_size_at_one")})
             payload["scale_invariant"] = case["scale_invariant"]
-            ok = ok and st.ok and payload["scale_invariant"]
+            ok = ok and half["ok"] and payload["scale_invariant"]
     _emit(payload, None, args.format)
     return 0 if ok else 1
 

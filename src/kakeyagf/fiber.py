@@ -4,16 +4,17 @@ For a map f and slope t, the image set I_f(t) = {f(x) + t*x : x in F_q}
 and the fiber histogram omega_t(k) = #{y : exactly k preimages} are the
 raw material every closed-form count in this package is checked against.
 Each map is a sum of powers of x, and `exponents` names them once. For
-one slope, `Field.power_sum` builds f(x) + t*x in the kernel's order in
-one buffer; for many, `Field.slope_sweep` adds t*x to the map it built
-without a slope. Per slope the values are reduced to a q-slot bitmap or
-count array, so a single slope costs O(q) time and space. Both families
-sum powers of x with coefficients in GF(2), so every slope of a
-Frobenius class {t, t^2, t^4, ...} has the same image size
-(`Field.frobenius_classes` checks the squaring this rests on), and the
-sizes of all t cost one O(q) pass per class: about q^2/m in all.
-`values_all` gives f in encoding order, for the callers that index it by x,
-by one scatter of the map (`Field.encoding_order`).
+one slope, `image_values` and `fiber_distribution` have `Field.power_sum`
+build f(x) + t*x in the kernel's order in one buffer; for many,
+`Field.slope_sweep` adds t*x to the map it built without a slope. Per
+slope the values are reduced to a q-slot bitmap or count array, so a
+single slope costs O(q) time and space. Both families sum powers of x
+with coefficients in GF(2), so every slope of a Frobenius class
+{t, t^2, t^4, ...} has the same image size (`Field.frobenius_classes`
+checks the squaring this rests on), and the sizes of all t cost one O(q)
+pass per class: about q^2/m in all. `values_all` gives f in encoding
+order, for the callers that index it by x, by one scatter of the map
+(`Field.encoding_order`).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def slope_values(field: Field, fn: FunctionSpec, ts):
 class FiberDistribution:
     """Histogram of preimage multiplicities under x -> f(x) + t*x."""
 
-    t: int
     omega: dict[int, int]
 
     def image_size(self) -> int:
@@ -76,11 +76,6 @@ class FiberDistribution:
     def nonzero(self) -> dict[int, int]:
         """omega with zero-count entries dropped, for comparisons."""
         return {k: c for k, c in self.omega.items() if c}
-
-
-def _g_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
-    """f(x) + t*x for every x, in the kernel's order, built in one buffer."""
-    return field.power_sum(exponents(field, fn), slope=t)
 
 
 def image_sets(field: Field, fn: FunctionSpec, ts):
@@ -95,16 +90,16 @@ def image_sets(field: Field, fn: FunctionSpec, ts):
 def image_values(field: Field, fn: FunctionSpec, t: int) -> np.ndarray:
     """Sorted values of x -> f(x) + t*x, as an int64 array."""
     seen = np.zeros(field.q, dtype=bool)
-    seen[_g_values(field, fn, t)] = True
+    seen[field.power_sum(exponents(field, fn), slope=t)] = True
     return np.flatnonzero(seen)
 
 
 def fiber_distribution(field: Field, fn: FunctionSpec, t: int) -> FiberDistribution:
     """Exact histogram of preimage counts over all y, k = 0 included."""
-    counts = np.bincount(_g_values(field, fn, t), minlength=field.q)
+    counts = np.bincount(field.power_sum(exponents(field, fn), slope=t), minlength=field.q)
     hist = np.bincount(counts)
     omega = {int(k): int(c) for k, c in enumerate(hist) if c}
-    return FiberDistribution(t=t, omega=omega)
+    return FiberDistribution(omega)
 
 
 def image_sizes_all(field: Field, fn: FunctionSpec) -> np.ndarray:

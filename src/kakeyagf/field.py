@@ -361,14 +361,14 @@ class Field:
             np.minimum(rep, orbit, out=rep)
         return rep
 
-    def power_sum(self, exponents, const: int = 0, slope: int = 0) -> np.ndarray:
-        """p(x) = const + slope*x + sum of x^e over exponents, in the kernel's order.
+    def power_sum(self, exponents, slope: int = 0) -> np.ndarray:
+        """p(x) = slope*x + sum of x^e over exponents, in the kernel's order.
 
-        Entry 0 is p(0), with 0^0 = 1, and entry 1 + k is p(g^k). The
-        linear term there is g^(log slope + k), the contiguous slice
-        exp2[log slope : log slope + q - 1] that `slope_sweep` reads, so a
-        single-slope query builds its one map here, in one buffer. The
-        power term is g^(k*e). With (a, b) = stride_pair(e, q - 1), the
+        A constant term is the exponent 0. Entry 0 is p(0), with 0^0 = 1,
+        and entry 1 + k is p(g^k). The linear term there is g^(log slope
+        + k), the contiguous slice exp2[log slope : log slope + q - 1]
+        that `slope_sweep` reads, so a single-slope query builds its one
+        map here, in one buffer. The power term is g^(k*e). With (a, b) = stride_pair(e, q - 1), the
         logs k*e along k = r, r + b, r + 2b, ... step by a, so out[1 + r::b]
         takes a run of slices of the doubled antilog table in stride a:
         ascending from below q - 1 for a > 0, descending from q - 1 or
@@ -378,13 +378,10 @@ class Field:
         """
         _, exp2, log = self._tables()
         units = self.q - 1
-        out = np.empty(self.q, dtype=np.int64)
-        out[0] = const
+        out = np.zeros(self.q, dtype=np.int64)
         if slope:
             k = log[slope]
-            np.bitwise_xor(exp2[k:k + units], const, out=out[1:])
-        else:
-            out[1:] = const
+            out[1:] = exp2[k:k + units]
         for e in exponents:
             if e < 0:
                 raise ValueError("exponent must be nonnegative")

@@ -19,7 +19,7 @@ useless for the line constructions downstream; `gold_profile` rejects it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,23 +126,24 @@ def image_profile_sweep(m_max: int) -> list[dict]:
     return [fn(*args) for _, fn, args in profile_cases(m_max)]
 
 
-def half_gold_case(m: int) -> dict:
+def half_gold_case(field: Field) -> dict:
     """The halfway structure by enumeration, the sizes by the closed form.
 
-    The sizes' brute-force check is the i = m/2 row of `image_profile_sweep`.
+    The row holds the facts of `verify_half_gold_structure` next to the
+    verdict, which `all` and `gold --verify` both read. The sizes'
+    brute-force check is the i = m/2 row of `image_profile_sweep`.
     """
-    field = make_field(m)
-    s = 1 << (m // 2)
+    s = 1 << (field.m // 2)
     st = verify_half_gold_structure(field)
-    prof = gold_profile(m, m // 2)
+    prof = gold_profile(field.m, field.m // 2)
     sizes_ok = prof.size_at_zero == s and prof.size_at_nonzero == (field.q + s) // 2
-    return {"m": m, "structure_ok": st.ok, "sizes_ok": sizes_ok,
-            "size_at_one": st.image_size_at_one, "ok": st.ok and sizes_ok}
+    return {"m": field.m, **asdict(st), "structure_ok": st.ok, "sizes_ok": sizes_ok,
+            "ok": st.ok and sizes_ok}
 
 
 def half_gold_cases(m_max: int) -> list[tuple]:
     """One O(q) case for every even m <= min(12, m_max)."""
-    return [(1 << m, half_gold_case, (m,)) for m in range(2, min(12, m_max) + 1, 2)]
+    return [(1 << m, half_gold_case, (make_field(m),)) for m in range(2, min(12, m_max) + 1, 2)]
 
 
 def half_gold_sweep(m_max: int) -> list[dict]:

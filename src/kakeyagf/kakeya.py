@@ -46,17 +46,19 @@ PAIR_BLOCK = 1 << 16  # (direction, anchor) pairs the verifier filters at once
 
 
 def kakeya_size_from_images(image_sizes, n: int) -> int:
-    """sum over t of (s^n - 1)/(s - 1) with s = |I_f(t)|; a size-1 term adds n."""
-    if not image_sizes:
+    """sum over t of (s^n - 1)/(s - 1) with s = |I_f(t)|; a size-1 term adds n.
+
+    Any sequence of sizes will do, an int64 array included: the sum runs
+    in Python ints, so s^n never wraps.
+    """
+    sizes = np.asarray(image_sizes).tolist()
+    if not sizes:
         raise ValueError("need at least one image size")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    total = 0
-    for s in image_sizes.values():
-        if s < 1:
-            raise ValueError(f"image sizes must be >= 1, got {s}")
-        total += n if s == 1 else (s**n - 1) // (s - 1)
-    return total
+    if min(sizes) < 1:
+        raise ValueError(f"image sizes must be >= 1, got {min(sizes)}")
+    return sum(n if s == 1 else (s**n - 1) // (s - 1) for s in sizes)
 
 
 def is_gf2_affine(field: Field, vals: np.ndarray) -> bool:
@@ -76,7 +78,7 @@ class KakeyaSet:
     field: Field
     n: int
     fn: FunctionSpec
-    image_sizes: dict[int, int]
+    image_sizes: np.ndarray     # |I_f(t)| for every t, from image_sizes_all
     size: int                   # block total by the closed form, kakeya_size_from_images
     points: np.ndarray | None   # sorted packed tuples, deduplicated; None above the cap
     block_count: int | None = None  # tuples in the enumerated blocks; None above the cap
@@ -105,11 +107,10 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
         raise AffineMapError(
             f"{function_label(fn)} is GF(2)-affine; the construction needs a non-linear map")
     sizes = image_sizes_all(field, fn)
-    image_sizes = {t: int(sizes[t]) for t in range(field.q)}
-    size = kakeya_size_from_images(image_sizes, n)
+    size = kakeya_size_from_images(sizes, n)
     if size > materialize_cap:
-        return KakeyaSet(field, n, fn, image_sizes, size, None)
-    return KakeyaSet(field, n, fn, image_sizes, size, *kakeya_blocks(field, n, fn))
+        return KakeyaSet(field, n, fn, sizes, size, None)
+    return KakeyaSet(field, n, fn, sizes, size, *kakeya_blocks(field, n, fn))
 
 
 def kakeya_blocks(field: Field, n: int, fn: FunctionSpec) -> tuple[np.ndarray, int]:

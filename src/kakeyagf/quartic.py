@@ -78,12 +78,11 @@ def omega0_distribution(m: int) -> FiberDistribution:
         omega = {0: q // 2, 2: q // 2}
     else:
         omega = {0: q // 4, 1: exact_div(2 * (q - 1), 3), 2: 1, 4: exact_div(q - 4, 12)}
-    return FiberDistribution(t=0, omega=omega)
+    return FiberDistribution(omega)
 
 
 @dataclass
 class CurvePointCount:
-    t: int
     v: int      # pairs (x, z) with x^2 + z*x = z^3 + z^2 + t
     delta: int  # Tr(t)
 
@@ -108,7 +107,7 @@ def _curve_counts_all(field: Field) -> np.ndarray:
     """
     m, q = field.m, field.q
     tr = field.trace_table()
-    p = field.encoding_order(field.power_sum([q // 2 - 1], const=1))   # w^(q/2-1) + 1
+    p = field.encoding_order(field.power_sum([q // 2 - 1, 0]))   # w^(q/2-1) + 1
     s = 1 - 2 * tr[p]                   # (-1)^Tr(p(w)); bool promotes to int64
     for k in range(m):
         pairs = s.reshape(-1, 2, 1 << k)  # axis 1 is bit k of the index
@@ -144,10 +143,10 @@ def curve_point_count(field: Field, t: int) -> CurvePointCount:
     so no near-q guarantee on v is implied for it.
     """
     tr = field.trace_table()
-    p = field.power_sum([field.q // 2 - 1], const=1, slope=t)   # w^(q/2-1) + 1 + t*w
+    p = field.power_sum([field.q // 2 - 1, 0], slope=t)   # w^(q/2-1) + 1 + t*w
     # w = 0 stands for no z: its entry is taken back out of the zero-trace count
     zeros = field.q - int(np.count_nonzero(tr[p])) - int(not tr[p[0]])
-    return CurvePointCount(t=t, v=1 + 2 * zeros, delta=field.trace_abs(t))
+    return CurvePointCount(v=1 + 2 * zeros, delta=field.trace_abs(t))
 
 
 def quartic_floor_bound(m: int) -> int:

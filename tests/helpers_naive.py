@@ -180,7 +180,7 @@ def kernel_curve_counts(field, ts) -> np.ndarray:
     taken back out of each count.
     """
     zero_trace = field.trace_table() == 0
-    p = field.power_sum([field.q // 2 - 1], const=1)   # w^(q/2-1) + 1
+    p = field.power_sum([field.q // 2 - 1, 0])   # w^(q/2-1) + 1
     skip = int(zero_trace[p[0]])
     return np.array([1 + 2 * (int(np.count_nonzero(zero_trace[vals])) - skip)
                      for _, vals in field.slope_sweep(p, ts)], dtype=np.int64)

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -144,6 +145,33 @@ def test_gold_verify_sweeps_once_under_modulus(monkeypatch, capsys):
                  "--format", "json"]) == 0
     assert swept == [0x19]
     assert json.loads(capsys.readouterr().out)["scale_invariant"] is True
+
+
+def test_gold_verify_runs_alls_half_gold_case(monkeypatch, capsys):
+    # gold --verify takes its half-gold facts and verdict from the case that
+    # all runs, on the field its --modulus names; a broken fact fails both
+    fields = []
+    half_gold_case = gold.half_gold_case
+
+    def recording(field):
+        fields.append(field.modulus)
+        return half_gold_case(field)
+
+    monkeypatch.setattr(gold, "half_gold_case", recording)
+    argv = ["gold", "--m", "4", "--i", "2", "--verify", "--modulus", "19", "--format", "json"]
+    assert main(argv) == 0
+    assert fields == [0x19]
+    capsys.readouterr()
+    verify = gold.verify_half_gold_structure
+    monkeypatch.setattr(gold, "verify_half_gold_structure",
+                        lambda field: dataclasses.replace(verify(field), two_to_one_elsewhere=False))
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["two_to_one_elsewhere"] is False
+    for workers in ("1", "2"):
+        code = main(["all", "--m-max", "4", "--format", "json", "-j", workers])
+        checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks.pop("half-gold-structure") is False
+        assert all(checks.values()) and code == 1, workers
 
 
 def test_quartic_slope_counts_curve_once(monkeypatch, capsys):

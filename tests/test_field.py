@@ -152,13 +152,11 @@ def test_power_sum_matches_pow_all(m):
         for e in exps[1:]:
             powers.append([naive_mul(modulus, p, x) for x, p in enumerate(powers[-1])])
         powers = [np.array(p, dtype=np.int64) for p in powers]
-        for const in (0, 1):
-            for e in exps:
-                assert np.array_equal(f.power_sum([e], const),
-                                      kernel_order(f, powers[e] ^ const)), (modulus, e, const)
-                for e2 in exps[e:]:
-                    assert np.array_equal(f.power_sum([e, e2], const),
-                                          kernel_order(f, powers[e] ^ powers[e2] ^ const))
+        for e in exps:
+            assert np.array_equal(f.power_sum([e]), kernel_order(f, powers[e])), (modulus, e)
+            for e2 in exps[e:]:   # e2 = 0 pairs are a constant term
+                assert np.array_equal(f.power_sum([e, e2]),
+                                      kernel_order(f, powers[e] ^ powers[e2]))
         for e in exps:
             assert np.array_equal(f.pow_all(e), powers[e]), (modulus, e)
 
@@ -183,7 +181,7 @@ def test_power_sum_callers_exponents_match_pow_all(m):
     p = f.power_sum([4, 3], slope=t)   # a quartic query's map
     for k, x in zip(ks, xs):
         assert p[1 + k] == f.pow(x, 4) ^ f.pow(x, 3) ^ f.mul(t, x), k
-    p = f.power_sum([q // 2 - 1], const=1, slope=t)   # a curve count's map
+    p = f.power_sum([q // 2 - 1, 0], slope=t)   # a curve count's map
     assert p[0] == 1
     for k, x in zip(ks, xs):
         assert p[1 + k] == f.pow(x, q // 2 - 1) ^ 1 ^ f.mul(t, x), k
@@ -195,11 +193,11 @@ def test_power_sum_slope_matches_sweep(m):
     # that slope, for every t, the callers' maps and both moduli
     for modulus in naive_irreducibles(m, limit=2):
         f = Field(m, modulus)
-        maps = [((4, 3), 0), ((f.q // 2 - 1,), 1)] + [(((1 << i) + 1,), 0) for i in range(m)]
-        for exps, const in maps:
-            p = f.power_sum(exps, const)
+        maps = [(4, 3), (f.q // 2 - 1, 0)] + [((1 << i) + 1,) for i in range(m)]
+        for exps in maps:
+            p = f.power_sum(exps)
             for t, row in f.slope_sweep(p, elements(f)):
-                assert np.array_equal(f.power_sum(exps, const, slope=t), row), (modulus, exps, t)
+                assert np.array_equal(f.power_sum(exps, slope=t), row), (modulus, exps, t)
 
 
 @pytest.mark.parametrize("m", range(0, 7))
@@ -233,7 +231,7 @@ def test_stride_pair(m):
 def test_power_sum_edge_cases():
     f2, f4 = make_field(1), make_field(2)
     assert f2.power_sum([0]).tolist() == [1, 1]          # q = 2: 0^0 = 1
-    assert f2.power_sum([5], const=1).tolist() == [1, 0]
+    assert f2.power_sum([5, 0]).tolist() == [1, 0]
     assert f4.power_sum([3]).tolist() == [0, 1, 1, 1]    # Gold(1) at m = 2: x^3 = 1 on the units
     assert f4.power_sum([3, 0]).tolist() == [1, 0, 0, 0]    # x^3 + x^0, 0^0 = 1
     g = f4._find_generator()

@@ -8,7 +8,7 @@ import pytest
 
 from kakeyagf import kakeya
 from kakeyagf.field import Field, make_field
-from kakeyagf.fiber import Gold, Quartic, image_values, values_all
+from kakeyagf.fiber import Gold, Quartic, image_sizes_all, image_values, values_all
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
                              build_kakeya, check_construction, construction_case, is_gf2_affine,
                              kakeya_size_from_images, verify_kakeya)
@@ -23,15 +23,28 @@ def _values(field, fn):
 
 
 def test_size_from_images_frozen():
-    assert kakeya_size_from_images({0: 2, 1: 3, 2: 3, 3: 3}, 2) == 15
-    assert kakeya_size_from_images({t: 9 for t in range(8)}, 1) == 8
-    assert kakeya_size_from_images({t: 1 for t in range(4)}, 3) == 12  # degenerate guard
+    assert kakeya_size_from_images([2, 3, 3, 3], 2) == 15
+    assert kakeya_size_from_images([9] * 8, 1) == 8
+    assert kakeya_size_from_images([1] * 4, 3) == 12  # degenerate guard
+    # s^n = 2^80 is past int64, which would wrap it to 0: the terms are Python ints
+    total = kakeya_size_from_images(np.array([2**20] * 3, dtype=np.int64), 4)
+    assert total == 3 * (2**80 - 1) // (2**20 - 1)
     with pytest.raises(ValueError):
-        kakeya_size_from_images({}, 2)
+        kakeya_size_from_images([], 2)
     with pytest.raises(ValueError):
-        kakeya_size_from_images({0: 2}, 0)
+        kakeya_size_from_images([2], 0)
     with pytest.raises(ValueError):
-        kakeya_size_from_images({0: 0}, 2)
+        kakeya_size_from_images([0], 2)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_build_keeps_the_image_sizes_array(m):
+    # KakeyaSet.image_sizes is image_sizes_all's array itself, under either modulus
+    for modulus in naive_irreducibles(m, limit=2):
+        field = Field(m, modulus)
+        for fn in (Gold(1), Quartic()):
+            ks = build_kakeya(field, 2, fn, materialize_cap=0)
+            assert np.array_equal(ks.image_sizes, image_sizes_all(field, fn)), (modulus, fn)
 
 
 def test_affinity_gate():
@@ -89,9 +102,9 @@ def test_build_reads_every_image_set_from_one_sweep(m, n, monkeypatch):
     maps = []
     power_sum = Field.power_sum
 
-    def counting(self, exponents, const=0, slope=0):
+    def counting(self, exponents, slope=0):
         maps.append(tuple(exponents))
-        return power_sum(self, exponents, const, slope)
+        return power_sum(self, exponents, slope)
 
     monkeypatch.setattr(Field, "power_sum", counting)
     field = make_field(m)
@@ -160,7 +173,7 @@ def test_directions_cover_every_vector_once(q, n):
 def test_verify_full_space():
     f4 = make_field(2)
     pts = np.arange(16, dtype=np.int64)
-    ks = KakeyaSet(field=f4, n=2, fn=Gold(1), image_sizes={t: 4 for t in range(4)},
+    ks = KakeyaSet(field=f4, n=2, fn=Gold(1), image_sizes=np.full(4, 4),
                    size=16, points=pts)
     assert verify_kakeya(ks).ok
 
@@ -346,7 +359,7 @@ def test_verify_edge_sets(m, n):
     cases = [(empty, every), (np.arange(q ** n, dtype=np.int64), []),
              (line, [e for e in every if e != d])]
     for points, missing in cases:
-        res = verify_kakeya(KakeyaSet(field=field, n=n, fn=Gold(1), image_sizes={},
+        res = verify_kakeya(KakeyaSet(field=field, n=n, fn=Gold(1), image_sizes=np.empty(0),
                                       size=points.size, points=points))
         assert (res.ok, res.missing) == (not missing, missing)
         assert res.missing == sort_verify_missing(field, n, points)
