@@ -14,19 +14,17 @@ from .bluher import BluherCount, bluher_bruteforce, bluher_formula
 from .field import Field, is_irreducible, make_field, smallest_irreducible
 from .fiber import (FiberDistribution, FunctionSpec, Gold, Quartic, fiber_distribution,
                     image_sizes_all, image_values)
-from .gold import GoldImageProfile, HalfGoldStructure, gold_profile, verify_half_gold_structure
+from .gold import GoldImageProfile, gold_profile, verify_half_gold_structure
 from .kakeya import (KakeyaSet, VerificationResult, bound_eval, build_kakeya,
                      check_construction, kakeya_size_from_images, verify_kakeya)
-from .quartic import (CurvePointCount, SharpnessResult, curve_point_count,
-                      omega0_distribution, omega1_formula, omega3_formula,
-                      quartic_floor_bound, sharpness_search)
+from .quartic import (CurvePointCount, curve_point_count, omega0_distribution, omega1_formula,
+                      omega3_formula, quartic_floor_bound, sharpness_search)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BluherCount", "CurvePointCount", "FiberDistribution", "Field",
-    "FunctionSpec", "Gold", "GoldImageProfile", "HalfGoldStructure", "KakeyaSet",
-    "Quartic", "SharpnessResult",
+    "FunctionSpec", "Gold", "GoldImageProfile", "KakeyaSet", "Quartic",
     "VerificationResult", "bluher_bruteforce", "bluher_formula", "bound_eval",
     "build_kakeya", "check_construction", "curve_point_count",
     "fiber_distribution", "gold_profile", "image_sizes_all", "image_values",

@@ -216,12 +216,12 @@ def _run_sharpness(args: argparse.Namespace) -> int:
     if args.m % 2 == 0:
         raise UsageError("m must be odd")
     field = _field_for(args)
-    r = quartic.sharpness_search(field)
-    payload = {"m": field.m, "q": field.q, "bound": r.bound,
-               "max_size": r.max_size, "sharp": r.sharp,
-               "witnesses": [f"{t:x}" for t in r.witnesses]}
+    row = quartic.sharpness_search(field)
+    payload = {"m": field.m, "q": field.q, "bound": row["bound"],
+               "max_size": row["max_size"], "sharp": row["ok"],
+               "witnesses": [f"{t:x}" for t in row["witnesses"]]}
     _emit(payload, None, args.format)
-    return 0 if r.sharp else 1
+    return 0 if row["ok"] else 1
 
 
 def _run_kakeya(args: argparse.Namespace) -> int:

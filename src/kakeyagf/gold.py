@@ -8,8 +8,8 @@ faith. The halfway index i = m/2 (m even) is special: there the map
 x -> x^(sqrt(q)+1) lands exactly on the subfield GF(sqrt(q)), and
 g(x) = x^(sqrt(q)+1) + x is injective on the relative-trace-1 elements
 and 2-to-1 everywhere else, which pins |I(t != 0)| to (q + sqrt(q))/2.
-`verify_half_gold_structure` establishes each of those facts by exhaustive
-enumeration.
+`verify_half_gold_structure` measures each of those facts by exhaustive
+enumeration, and `half_gold_case` holds them to the closed forms.
 
 The index i = 0 would give x -> x^2, which is GF(2)-linear and therefore
 useless for the line constructions downstream; `gold_profile` rejects it
@@ -19,7 +19,7 @@ useless for the line constructions downstream; `gold_profile` rejects it
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,24 +59,8 @@ def gold_profile(m: int, i: int) -> GoldImageProfile:
                             size_at_zero=size_zero, size_at_nonzero=size_nonzero)
 
 
-@dataclass
-class HalfGoldStructure:
-    """Exhaustively established facts about g(x) = x^(sqrt(q)+1) + x."""
-
-    image_is_subfield: bool
-    injective_on_trace_one: bool
-    two_to_one_elsewhere: bool
-    image_size_at_one: int
-    image_size_expected: int
-
-    @property
-    def ok(self) -> bool:
-        return (self.image_is_subfield and self.injective_on_trace_one
-                and self.two_to_one_elsewhere
-                and self.image_size_at_one == self.image_size_expected)
-
-
-def verify_half_gold_structure(field: Field) -> HalfGoldStructure:
+def verify_half_gold_structure(field: Field) -> dict:
+    """The four facts of g(x) = x^(sqrt(q)+1) + x by enumeration; no closed form is read."""
     if field.m % 2:
         raise ValueError("the halfway index needs an even extension degree")
     q = field.q
@@ -92,13 +76,10 @@ def verify_half_gold_structure(field: Field) -> HalfGoldStructure:
     trace_one = (frob ^ x) == 1
     g_on = g[trace_one]
     rest_counts = np.bincount(g[~trace_one], minlength=q)
-    return HalfGoldStructure(
-        image_is_subfield=bool(np.array_equal(image_mask, subfield_mask)),
-        injective_on_trace_one=bool(np.bincount(g_on, minlength=q).max() <= 1),
-        two_to_one_elsewhere=bool(np.all(rest_counts[rest_counts > 0] == 2)),
-        image_size_at_one=int(np.count_nonzero(np.bincount(g, minlength=q))),
-        image_size_expected=(q + s) // 2,
-    )
+    return {"image_is_subfield": bool(np.array_equal(image_mask, subfield_mask)),
+            "injective_on_trace_one": bool(np.bincount(g_on, minlength=q).max() <= 1),
+            "two_to_one_elsewhere": bool(np.all(rest_counts[rest_counts > 0] == 2)),
+            "image_size_at_one": int(np.count_nonzero(np.bincount(g, minlength=q)))}
 
 
 def profile_case(field: Field, i: int) -> dict:
@@ -127,18 +108,22 @@ def image_profile_sweep(m_max: int) -> list[dict]:
 
 
 def half_gold_case(field: Field) -> dict:
-    """The halfway structure by enumeration, the sizes by the closed form.
+    """The halfway structure by enumeration, judged here with the closed forms.
 
-    The row holds the facts of `verify_half_gold_structure` next to the
-    verdict, which `all` and `gold --verify` both read. The sizes'
+    `structure_ok` holds the three facts of `verify_half_gold_structure`
+    and its |I(1)| = (q + sqrt(q))/2; `sizes_ok` holds `gold_profile` at
+    i = m/2. `all` and `gold --verify` both read this row. The sizes'
     brute-force check is the i = m/2 row of `image_profile_sweep`.
     """
     s = 1 << (field.m // 2)
-    st = verify_half_gold_structure(field)
+    half = (field.q + s) // 2
+    facts = verify_half_gold_structure(field)
+    structure_ok = (facts["image_is_subfield"] and facts["injective_on_trace_one"]
+                    and facts["two_to_one_elsewhere"] and facts["image_size_at_one"] == half)
     prof = gold_profile(field.m, field.m // 2)
-    sizes_ok = prof.size_at_zero == s and prof.size_at_nonzero == (field.q + s) // 2
-    return {"m": field.m, **asdict(st), "structure_ok": st.ok, "sizes_ok": sizes_ok,
-            "ok": st.ok and sizes_ok}
+    sizes_ok = prof.size_at_zero == s and prof.size_at_nonzero == half
+    return {"m": field.m, **facts, "structure_ok": structure_ok, "sizes_ok": sizes_ok,
+            "ok": structure_ok and sizes_ok}
 
 
 def half_gold_cases(m_max: int) -> list[tuple]:

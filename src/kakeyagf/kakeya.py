@@ -80,8 +80,9 @@ class KakeyaSet:
     fn: FunctionSpec
     image_sizes: np.ndarray     # |I_f(t)| for every t, from image_sizes_all
     size: int                   # block total by the closed form, kakeya_size_from_images
-    points: np.ndarray | None   # sorted packed tuples, deduplicated; None above the cap
-    block_count: int | None = None  # tuples in the enumerated blocks; None above the cap
+    points: np.ndarray | None   # sorted packed tuples, deduplicated; None if not materialized
+    block_count: int | None = None  # tuples in the enumerated blocks; None with the points
+    skipped: str | None = None  # why points that were asked for were not materialized
 
     @property
     def distinct_point_count(self) -> int | None:
@@ -92,14 +93,16 @@ class AffineMapError(ValueError):
     """`build_kakeya` was given a GF(2)-affine map, which the construction cannot use."""
 
 
-def build_kakeya(field: Field, n: int, fn: FunctionSpec,
-                 materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> KakeyaSet:
-    """Image sizes always; tuples materialized when the block total fits the cap.
+def build_kakeya(field: Field, n: int, fn: FunctionSpec, materialize: bool = True) -> KakeyaSet:
+    """Image sizes always; tuples too when asked for and when they fit.
 
     The sizes come from the one-slope-per-class `image_sizes_all`, and
-    `size`, their closed-form total, decides the cap before anything is
-    enumerated; the tuples come from `kakeya_blocks`, whose count is
-    recorded as `block_count` for the caller to hold against `size`.
+    `size`, their closed-form total, is known before anything is
+    enumerated. Asked-for tuples are skipped, with the reason in
+    `skipped`, when they do not pack into PACKED_BITS or when `size` is
+    above DEFAULT_MATERIALIZE_CAP; otherwise they come from
+    `kakeya_blocks`, whose count is recorded as `block_count` for the
+    caller to hold against `size`.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -108,8 +111,13 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec,
             f"{function_label(fn)} is GF(2)-affine; the construction needs a non-linear map")
     sizes = image_sizes_all(field, fn)
     size = kakeya_size_from_images(sizes, n)
-    if size > materialize_cap:
+    if not materialize:
         return KakeyaSet(field, n, fn, sizes, size, None)
+    if n * field.m > PACKED_BITS:
+        return KakeyaSet(field, n, fn, sizes, size, None,
+                         skipped=f"packed points need n*m <= {PACKED_BITS} bits")
+    if size > DEFAULT_MATERIALIZE_CAP:
+        return KakeyaSet(field, n, fn, sizes, size, None, skipped="materialization cap exceeded")
     return KakeyaSet(field, n, fn, sizes, size, *kakeya_blocks(field, n, fn))
 
 
@@ -235,37 +243,30 @@ def paper_map(m: int) -> FunctionSpec:
 def check_construction(field: Field, n: int, fn: FunctionSpec, materialize: bool = True) -> dict:
     """Build K for f in F_q^n and check it: block count, both bounds, the lines.
 
-    The points are materialized only when asked for, when the block total
-    fits DEFAULT_MATERIALIZE_CAP and when they pack into PACKED_BITS;
-    `skipped` says why points that were asked for were not. The row passes
-    when the enumerated blocks hold `size` tuples, the distinct points
-    number at most `size` and, where points exist, the verifier finds a
-    line in every direction. The paper proves the bounds only for
-    `paper_map(m)`, so only that map must also have `size` below both; any
-    other map's bounds are reported, not held. A bound that exceeds the
-    size by 1e-6 or less aborts instead of passing: integer sizes never sit
-    that close to these bounds, so such a margin means a float went wrong
-    somewhere.
+    `materialize` goes to `build_kakeya`, and `skipped` is its reason for
+    leaving asked-for points out. The row passes when the enumerated
+    blocks hold `size` tuples, the distinct points number at most `size`
+    and, where points exist, the verifier finds a line in every direction.
+    The paper proves the bounds only for `paper_map(m)`, so only that map
+    must also have `size` below both; any other map's bounds are reported,
+    not held. A bound that exceeds the size by 1e-6 or less aborts instead
+    of passing: integer sizes never sit that close to these bounds, so
+    such a margin means a float went wrong somewhere.
     """
     bound_new, bound_klss = bound_eval(field.q, n)   # an overflow raises before the build
-    packable = n * field.m <= PACKED_BITS
-    ks = build_kakeya(field, n, fn, DEFAULT_MATERIALIZE_CAP if materialize and packable else 0)
+    ks = build_kakeya(field, n, fn, materialize)
     size = ks.size
     for b in (bound_new, bound_klss):
         if 0.0 < b - size <= 1e-6:
             raise ArithmeticError(f"bound {b} suspiciously close to size {size}")
     verified = None if ks.points is None else verify_kakeya(ks).ok
     distinct = ks.distinct_point_count
-    skipped = None
-    if materialize and ks.points is None:
-        skipped = ("materialization cap exceeded" if packable
-                   else f"packed points need n*m <= {PACKED_BITS} bits")
     below_bounds = size < bound_new and size < bound_klss
     ok = (ks.block_count in (None, size) and (distinct is None or distinct <= size)
           and (below_bounds or fn != paper_map(field.m)) and verified is not False)
     return {"q": field.q, "n": n, "f": function_label(fn), "size": size,
             "bound_new": bound_new, "bound_klss": bound_klss, "kakeya_verified": verified,
-            "distinct_points": distinct, "block_count": ks.block_count, "skipped": skipped,
+            "distinct_points": distinct, "block_count": ks.block_count, "skipped": ks.skipped,
             "ok": ok}
 
 

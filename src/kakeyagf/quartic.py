@@ -87,14 +87,6 @@ class CurvePointCount:
     delta: int  # Tr(t)
 
 
-@dataclass
-class SharpnessResult:
-    max_size: int
-    witnesses: list[int]
-    bound: int
-    sharp: bool
-
-
 def _curve_counts_all(field: Field) -> np.ndarray:
     """v(t) for every slope t in encoding order, by one Walsh-Hadamard transform.
 
@@ -163,17 +155,20 @@ def quartic_floor_bound(m: int) -> int:
     return (5 * q + 5 + math.isqrt(4 * q)) // 8
 
 
-def sharpness_search(field: Field) -> SharpnessResult:
-    """Exact size of every t != 0 from the all-slope counts; collect the argmax ts."""
+def sharpness_search(field: Field) -> dict:
+    """Exact size of every t != 0 from the all-slope counts, held to the cap.
+
+    The row lists every slope of the largest size as `witnesses`, and
+    `ok` says that size is `quartic_floor_bound`.
+    """
     if field.m % 2 == 0:
         raise ValueError("the sharpness sweep applies to odd m")
     q = field.q
     bound = quartic_floor_bound(field.m)
     sizes = _size_from_count(q, _shared_curve_counts(field)[1:], field.trace_table()[1:])
     best = int(sizes.max())
-    witnesses = [int(t) for t in np.flatnonzero(sizes == best) + 1]
-    return SharpnessResult(max_size=best, witnesses=witnesses, bound=bound,
-                           sharp=best == bound)
+    return {"m": field.m, "bound": bound, "max_size": best,
+            "witnesses": (np.flatnonzero(sizes == best) + 1).tolist(), "ok": best == bound}
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +255,10 @@ def image_exact_sweep(m_max: int) -> list[dict]:
     return [fn(*args) for _, fn, args in image_exact_cases(m_max)]
 
 
-def sharpness_case(m: int) -> dict:
-    r = sharpness_search(make_field(m))
-    return {"m": m, "bound": r.bound, "max_size": r.max_size,
-            "witnesses": r.witnesses[:4], "ok": r.sharp}
-
-
 def sharpness_cases(m_max: int) -> list[tuple]:
     """One O(q*m) transform for every odd m <= min(13, m_max)."""
-    return [((1 << m) * m, sharpness_case, (m,)) for m in range(1, min(13, m_max) + 1, 2)]
+    return [((1 << m) * m, sharpness_search, (make_field(m),))
+            for m in range(1, min(13, m_max) + 1, 2)]
 
 
 def sharpness_sweep(m_max: int) -> list[dict]:

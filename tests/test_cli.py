@@ -3,7 +3,6 @@
 import argparse
 import collections
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -102,6 +101,15 @@ def test_sharpness_json_schema():
     assert payload["witnesses"] == ["3", "5", "7"]
 
 
+def test_sharpness_verb_reports_alls_row(capsys):
+    # all's quartic-floor-sharpness rows and the sharpness verb read one row:
+    # every witness, not a prefix, at each odd m <= 13
+    for row in quartic.sharpness_sweep(13):
+        assert main(["sharpness", "--m", str(row["m"]), "--format", "json"]) == 0
+        witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+        assert row["witnesses"] == [int(t, 16) for t in witnesses], row["m"]
+
+
 def test_verify_bluher():
     r = run_cli("verify-bluher", "--m-max", "6", "--format", "json")
     assert r.returncode == 0
@@ -147,9 +155,13 @@ def test_gold_verify_sweeps_once_under_modulus(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["scale_invariant"] is True
 
 
-def test_gold_verify_runs_alls_half_gold_case(monkeypatch, capsys):
+@pytest.mark.parametrize("fact,broken", [("two_to_one_elsewhere", lambda v: False),
+                                          ("image_size_at_one", lambda v: v + 1)],
+                         ids=["two_to_one_elsewhere", "image_size_at_one"])
+def test_gold_verify_runs_alls_half_gold_case(monkeypatch, capsys, fact, broken):
     # gold --verify takes its half-gold facts and verdict from the case that
-    # all runs, on the field its --modulus names; a broken fact fails both
+    # all runs, on the field its --modulus names; one broken fact, a flag or
+    # the measured |I(1)| that half_gold_case holds to (q + sqrt(q))/2, fails both
     fields = []
     half_gold_case = gold.half_gold_case
 
@@ -163,10 +175,11 @@ def test_gold_verify_runs_alls_half_gold_case(monkeypatch, capsys):
     assert fields == [0x19]
     capsys.readouterr()
     verify = gold.verify_half_gold_structure
+    expected = broken(verify(make_field(4, 0x19))[fact])
     monkeypatch.setattr(gold, "verify_half_gold_structure",
-                        lambda field: dataclasses.replace(verify(field), two_to_one_elsewhere=False))
+                        lambda field: {**verify(field), fact: broken(verify(field)[fact])})
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["two_to_one_elsewhere"] is False
+    assert json.loads(capsys.readouterr().out)[fact] == expected
     for workers in ("1", "2"):
         code = main(["all", "--m-max", "4", "--format", "json", "-j", workers])
         checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}

@@ -46,12 +46,10 @@ def test_profile_matches_bruteforce(m):
 def test_half_gold_structure_frozen():
     # |I(1)| = (q + sqrt(q))/2: 3, 10, 36 for m = 2, 4, 6
     for m, expected in [(2, 3), (4, 10), (6, 36)]:
-        st = verify_half_gold_structure(make_field(m))
-        assert st.image_is_subfield
-        assert st.injective_on_trace_one
-        assert st.two_to_one_elsewhere
-        assert st.image_size_at_one == expected == st.image_size_expected
-        assert st.ok
+        # the brute-force record holds the measured facts only: no expected size, no verdict
+        assert verify_half_gold_structure(make_field(m)) == {
+            "image_is_subfield": True, "injective_on_trace_one": True,
+            "two_to_one_elsewhere": True, "image_size_at_one": expected}
 
 
 def test_half_gold_rejects_odd_degree():

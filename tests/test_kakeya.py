@@ -43,7 +43,7 @@ def test_build_keeps_the_image_sizes_array(m):
     for modulus in naive_irreducibles(m, limit=2):
         field = Field(m, modulus)
         for fn in (Gold(1), Quartic()):
-            ks = build_kakeya(field, 2, fn, materialize_cap=0)
+            ks = build_kakeya(field, 2, fn, materialize=False)
             assert np.array_equal(ks.image_sizes, image_sizes_all(field, fn)), (modulus, fn)
 
 
@@ -123,9 +123,11 @@ def test_build_dimension_one():
     assert verify_kakeya(ks).ok
 
 
-def test_build_cap():
-    ks = build_kakeya(make_field(2), 2, Gold(1), materialize_cap=10)
+def test_build_cap(monkeypatch):
+    monkeypatch.setattr(kakeya, "DEFAULT_MATERIALIZE_CAP", 10)
+    ks = build_kakeya(make_field(2), 2, Gold(1))
     assert ks.points is None and ks.block_count is None and ks.size == 15
+    assert ks.skipped == "materialization cap exceeded"
     with pytest.raises(ValueError):
         verify_kakeya(ks)
 
@@ -251,8 +253,13 @@ def test_construction_case_rows():
 
 
 def test_materialization_bit_guard():
+    # 5 * 13 = 65 bits: the build reports the skip, and the block enumeration refuses
+    field = make_field(13)
+    ks = build_kakeya(field, 5, Quartic())
+    assert ks.points is None and ks.block_count is None
+    assert ks.skipped == "packed points need n*m <= 62 bits"
     with pytest.raises(ValueError):
-        build_kakeya(make_field(13), 5, Quartic(), materialize_cap=1 << 70)
+        kakeya.kakeya_blocks(field, 5, Quartic())
 
 
 def _parity_map(m):

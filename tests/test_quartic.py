@@ -176,11 +176,11 @@ def test_floor_bound_vs_highprec():
 
 def test_sharpness_small():
     r = sharpness_search(make_field(1))
-    assert (r.max_size, r.bound, r.sharp, r.witnesses) == (2, 2, True, [1])
+    assert (r["max_size"], r["bound"], r["ok"], r["witnesses"]) == (2, 2, True, [1])
     r = sharpness_search(make_field(3))
-    assert (r.max_size, r.bound, r.sharp) == (6, 6, True)
-    assert r.witnesses == sorted(r.witnesses) == [3, 5, 7]
+    assert (r["max_size"], r["bound"], r["ok"]) == (6, 6, True)
+    assert r["witnesses"] == sorted(r["witnesses"]) == [3, 5, 7]
     r = sharpness_search(make_field(5))
-    assert (r.max_size, r.bound, r.sharp) == (22, 22, True)
+    assert (r["max_size"], r["bound"], r["ok"]) == (22, 22, True)
     with pytest.raises(ValueError):
         sharpness_search(make_field(4))
