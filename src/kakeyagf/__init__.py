@@ -10,11 +10,11 @@ if "numpy" not in sys.modules:
     # and thread counts do not change, and a value set beforehand is kept.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .bluher import BluherCount, bluher_bruteforce, bluher_formula
+from .bluher import bluher_bruteforce, bluher_formula
 from .field import Field, is_irreducible, make_field, smallest_irreducible
 from .fiber import (FiberDistribution, FunctionSpec, Gold, Quartic, fiber_distribution,
                     image_sizes_all, image_values)
-from .gold import GoldImageProfile, gold_profile, verify_half_gold_structure
+from .gold import gold_profile, verify_half_gold_structure
 from .kakeya import (KakeyaSet, VerificationResult, bound_eval, build_kakeya,
                      check_construction, kakeya_size_from_images, verify_kakeya)
 from .quartic import (CurvePointCount, curve_point_count, omega0_distribution, omega1_formula,
@@ -23,8 +23,8 @@ from .quartic import (CurvePointCount, curve_point_count, omega0_distribution, o
 __version__ = "0.1.0"
 
 __all__ = [
-    "BluherCount", "CurvePointCount", "FiberDistribution", "Field",
-    "FunctionSpec", "Gold", "GoldImageProfile", "KakeyaSet", "Quartic",
+    "CurvePointCount", "FiberDistribution", "Field",
+    "FunctionSpec", "Gold", "KakeyaSet", "Quartic",
     "VerificationResult", "bluher_bruteforce", "bluher_formula", "bound_eval",
     "build_kakeya", "check_construction", "curve_point_count",
     "fiber_distribution", "gold_profile", "image_sizes_all", "image_values",

@@ -14,21 +14,10 @@ The two routes are independent and must agree on every (m, i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import Field, exact_div, make_field
-
-
-@dataclass
-class BluherCount:
-    m: int
-    i: int
-    d: int
-    n0_formula: int
-    n0_bruteforce: int
-    agree: bool
 
 
 def bluher_formula(m: int, i: int) -> int:
@@ -61,11 +50,12 @@ def bluher_bruteforce(field: Field, i: int) -> int:
     return units - int(np.count_nonzero(has_root))
 
 
-def agreement_case(m: int, i: int) -> BluherCount:
+def agreement_case(m: int, i: int) -> dict:
+    """The `verify-bluher` row of one (m, i)."""
     formula = bluher_formula(m, i)
     brute = bluher_bruteforce(make_field(m), i)
-    return BluherCount(m=m, i=i, d=math.gcd(i, m), n0_formula=formula,
-                       n0_bruteforce=brute, agree=formula == brute)
+    return {"m": m, "i": i, "d": math.gcd(i, m), "n0_formula": formula,
+            "n0_bruteforce": brute, "agree": formula == brute}
 
 
 def agreement_cases(m_max: int) -> list[tuple]:
@@ -73,6 +63,6 @@ def agreement_cases(m_max: int) -> list[tuple]:
     return [(1 << m, agreement_case, (m, i)) for m in range(2, m_max + 1) for i in range(m)]
 
 
-def agreement_sweep(m_max: int) -> list[BluherCount]:
+def agreement_sweep(m_max: int) -> list[dict]:
     """Formula vs brute force for every 2 <= m <= m_max and 0 <= i < m."""
     return [fn(*args) for _, fn, args in agreement_cases(m_max)]

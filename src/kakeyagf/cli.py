@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 
 from . import bluher, gold, kakeya, quartic
 from .field import MAX_DEGREE, make_field
@@ -36,7 +35,7 @@ from .parallel import run_cases
 USAGE_ERROR = 2
 # a brute-force sweep of every slope's image is one O(q) pass per Frobenius
 # class, about q^2/m in all and near 4x per degree: on two cores
-# `gold --m 18 --i 1 --verify` takes 17 s and `quartic --m 18` 23 s, so
+# `gold --m 18 --i 1 --verify` takes 12-13 s and `quartic --m 18` 21-22 s, so
 # m = 20 would run for five minutes or more
 SWEEP_MAX_M = 18
 
@@ -142,7 +141,7 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
 # verbs
 
 def _run_verify_bluher(args: argparse.Namespace) -> int:
-    rows = [asdict(r) for r in run_cases(bluher.agreement_cases(args.m_max), args.parallelism)]
+    rows = run_cases(bluher.agreement_cases(args.m_max), args.parallelism)
     ok = all(r["agree"] for r in rows)
     _emit({"rows": rows, "ok": ok}, rows, args.format)
     return 0 if ok else 1
@@ -154,11 +153,7 @@ def _run_gold(args: argparse.Namespace) -> int:
     if args.verify:
         _check_sweep_budget(args, "drop --verify for the closed form alone")
     field = _field_for(args)
-    prof = gold.gold_profile(args.m, args.i)
-    payload = {"m": prof.m, "i": prof.i, "d": prof.d, "q": field.q,
-               "parity_case": prof.parity_case,
-               "size_at_zero": prof.size_at_zero,
-               "size_at_nonzero": prof.size_at_nonzero}
+    payload = gold.gold_profile(args.m, args.i)
     ok = True
     if args.verify:
         case = gold.profile_case(field, args.i)
@@ -295,7 +290,7 @@ def _run_all(args: argparse.Namespace) -> int:
     m_max = args.m_max
     checks = []
     for name, rows in _stage_rows(m_max, args.parallelism):
-        ok = all(r.agree if isinstance(r, bluher.BluherCount) else r["ok"] for r in rows)
+        ok = all(r["agree" if name == "bluher-agreement" else "ok"] for r in rows)
         checks.append({"name": name, "ok": ok, "cases": len(rows)})
     ok = all(c["ok"] for c in checks)
     payload = {"m_max": m_max, "seed": args.seed, "checks": checks, "ok": ok}

@@ -19,7 +19,6 @@ useless for the line constructions downstream; `gold_profile` rejects it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +26,11 @@ from .field import Field, exact_div, frobenius_class_count, make_field
 from .fiber import Gold, image_sizes_all
 
 
-@dataclass
-class GoldImageProfile:
-    m: int
-    i: int
-    d: int
-    parity_case: str  # parity of m/d, "even" or "odd"
-    size_at_zero: int
-    size_at_nonzero: int
+def gold_profile(m: int, i: int) -> dict:
+    """Exact |I(0)| and |I(t != 0)| for x -> x^(2^i+1) on GF(2^m): the `gold` verb's row.
 
-
-def gold_profile(m: int, i: int) -> GoldImageProfile:
-    """Exact |I(0)| and |I(t != 0)| for x -> x^(2^i+1) on GF(2^m)."""
+    `parity_case` is the parity of m/d, "even" or "odd".
+    """
     if not 1 <= i < m:
         raise ValueError(f"need 1 <= i < m (i = 0 is the linear map x -> x^2), got i={i}, m={m}")
     d = math.gcd(i, m)
@@ -55,8 +47,8 @@ def gold_profile(m: int, i: int) -> GoldImageProfile:
     if math.gcd(q - 1, (1 << i) + 1) != gcd_expected:
         raise ArithmeticError(f"gcd(2^{m}-1, 2^{i}+1) dichotomy failed")
     size_zero = 1 + exact_div(q - 1, gcd_expected)
-    return GoldImageProfile(m=m, i=i, d=d, parity_case=parity,
-                            size_at_zero=size_zero, size_at_nonzero=size_nonzero)
+    return {"m": m, "i": i, "d": d, "q": q, "parity_case": parity,
+            "size_at_zero": size_zero, "size_at_nonzero": size_nonzero}
 
 
 def verify_half_gold_structure(field: Field) -> dict:
@@ -90,9 +82,9 @@ def profile_case(field: Field, i: int) -> dict:
     """
     prof = gold_profile(field.m, i)
     sizes = image_sizes_all(field, Gold(i))
-    ok = int(sizes[0]) == prof.size_at_zero and bool(np.all(sizes[1:] == prof.size_at_nonzero))
-    return {"m": field.m, "i": i, "size_at_zero": prof.size_at_zero,
-            "size_at_nonzero": prof.size_at_nonzero,
+    zero, nonzero = prof["size_at_zero"], prof["size_at_nonzero"]
+    ok = int(sizes[0]) == zero and bool(np.all(sizes[1:] == nonzero))
+    return {"m": field.m, "i": i, "size_at_zero": zero, "size_at_nonzero": nonzero,
             "scale_invariant": bool(np.all(sizes[1:] == sizes[1])), "ok": ok}
 
 
@@ -121,7 +113,7 @@ def half_gold_case(field: Field) -> dict:
     structure_ok = (facts["image_is_subfield"] and facts["injective_on_trace_one"]
                     and facts["two_to_one_elsewhere"] and facts["image_size_at_one"] == half)
     prof = gold_profile(field.m, field.m // 2)
-    sizes_ok = prof.size_at_zero == s and prof.size_at_nonzero == half
+    sizes_ok = prof["size_at_zero"] == s and prof["size_at_nonzero"] == half
     return {"m": field.m, **facts, "structure_ok": structure_ok, "sizes_ok": sizes_ok,
             "ok": structure_ok and sizes_ok}
 

@@ -46,7 +46,7 @@ PAIR_BLOCK = 1 << 16  # (direction, anchor) pairs the verifier filters at once
 
 
 def kakeya_size_from_images(image_sizes, n: int) -> int:
-    """sum over t of (s^n - 1)/(s - 1) with s = |I_f(t)|; a size-1 term adds n.
+    """sum over t of (s^n - 1)/(s - 1) with s = |I_f(t)|.
 
     Any sequence of sizes will do, an int64 array included: the sum runs
     in Python ints, so s^n never wraps.
@@ -56,9 +56,9 @@ def kakeya_size_from_images(image_sizes, n: int) -> int:
         raise ValueError("need at least one image size")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if min(sizes) < 1:
-        raise ValueError(f"image sizes must be >= 1, got {min(sizes)}")
-    return sum(n if s == 1 else (s**n - 1) // (s - 1) for s in sizes)
+    if min(sizes) < 2:  # |I(t)| = 1 makes f affine, which build_kakeya refuses
+        raise ValueError(f"image sizes must be >= 2, got {min(sizes)}")
+    return sum((s**n - 1) // (s - 1) for s in sizes)
 
 
 def is_gf2_affine(field: Field, vals: np.ndarray) -> bool:

@@ -18,7 +18,7 @@ from kakeyagf.quartic import quartic_floor_bound
 
 
 def _report(name, rows, key="ok"):
-    bad = [r for r in rows if not (r[key] if isinstance(r, dict) else getattr(r, key))]
+    bad = [r for r in rows if not r[key]]
     assert not bad, f"{name}: {len(bad)} failing cases: {bad[:5]}"
     print(f"PASS {name} ({len(rows)} cases)")
 
@@ -26,7 +26,7 @@ def _report(name, rows, key="ok"):
 def test_bluher_agreement():
     # every (m, i) with 2 <= m <= 12, 0 <= i < m: formula == brute force
     rows = bluher.agreement_sweep(12)
-    assert [(r.m, r.i) for r in rows] == [(m, i) for m in range(2, 13) for i in range(m)]
+    assert [(r["m"], r["i"]) for r in rows] == [(m, i) for m in range(2, 13) for i in range(m)]
     _report("bluher-agreement", rows, key="agree")
 
 

@@ -70,10 +70,10 @@ def test_formula_always_integral():
 def test_agreement_sweep_small():
     rows = agreement_sweep(m_max=6)
     assert len(rows) == sum(range(2, 7))  # all (m, i) with 0 <= i < m
-    assert all(r.agree for r in rows)
+    assert all(r["agree"] for r in rows)
 
 
 def test_agreement_sweep_m16():
     rows = agreement_sweep(m_max=16)
     assert len(rows) == sum(range(2, 17))
-    assert all(r.agree for r in rows)
+    assert all(r["agree"] for r in rows)

@@ -121,6 +121,21 @@ def test_verify_bluher():
                                   "n0_bruteforce": 2, "agree": True}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_bluher_prints_the_library_rows(capsys, workers):
+    assert main(["verify-bluher", "--m-max", "5", "--format", "json", "-j", workers]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    expected = [bluher.agreement_case(m, i) for m in range(2, 6) for i in range(m)]
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
+
+
+@pytest.mark.parametrize("m, i", [(4, 2), (5, 1), (6, 4)])
+def test_gold_verb_prints_the_library_row(capsys, m, i):
+    assert main(["gold", "--m", str(m), "--i", str(i), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload.items()) == list(gold.gold_profile(m, i).items())
+
+
 def test_gold_verb():
     r = run_cli("gold", "--m", "4", "--i", "2", "--verify", "--format", "json")
     assert r.returncode == 0

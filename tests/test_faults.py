@@ -32,7 +32,7 @@ def _plus_one(fn):
 def _nonzero_size_plus_one(fn):
     def perturbed(m, i):
         prof = fn(m, i)
-        return dataclasses.replace(prof, size_at_nonzero=prof.size_at_nonzero + 1)
+        return {**prof, "size_at_nonzero": prof["size_at_nonzero"] + 1}
     return perturbed
 
 

@@ -14,11 +14,11 @@ from kakeyagf.gold import (gold_profile, half_gold_sweep, image_profile_sweep, p
 def test_profile_frozen():
     # sizes derived by exhaustive image scans over GF(4), GF(16), GF(8)
     p = gold_profile(2, 1)
-    assert (p.size_at_zero, p.size_at_nonzero, p.parity_case) == (2, 3, "even")
+    assert (p["size_at_zero"], p["size_at_nonzero"], p["parity_case"]) == (2, 3, "even")
     p = gold_profile(4, 2)
-    assert (p.size_at_zero, p.size_at_nonzero) == (4, 10)
+    assert (p["size_at_zero"], p["size_at_nonzero"]) == (4, 10)
     p = gold_profile(3, 1)
-    assert (p.size_at_zero, p.size_at_nonzero, p.parity_case) == (8, 5, "odd")
+    assert (p["size_at_zero"], p["size_at_nonzero"], p["parity_case"]) == (8, 5, "odd")
 
 
 def test_profile_rejects_bad_index():
@@ -65,11 +65,11 @@ def test_scale_invariance(m):
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_halfway_index_minimizes_nonzero_size(m):
-    best = gold_profile(m, m // 2).size_at_nonzero
+    best = gold_profile(m, m // 2)["size_at_nonzero"]
     q = 1 << m
     assert best == (q + (1 << (m // 2))) // 2
     for i in range(1, m):
-        assert gold_profile(m, i).size_at_nonzero >= best
+        assert gold_profile(m, i)["size_at_nonzero"] >= best
 
 
 def test_sweeps_small():
@@ -82,7 +82,7 @@ def test_nonzero_size_matches_bluher_complement():
     from kakeyagf.bluher import bluher_formula
     for m in range(2, 13):
         for i in range(1, m):
-            assert gold_profile(m, i).size_at_nonzero == (1 << m) - bluher_formula(m, i)
+            assert gold_profile(m, i)["size_at_nonzero"] == (1 << m) - bluher_formula(m, i)
 
 
 def test_half_gold_sweep_makes_no_image_sweep(monkeypatch):

@@ -25,7 +25,6 @@ def _values(field, fn):
 def test_size_from_images_frozen():
     assert kakeya_size_from_images([2, 3, 3, 3], 2) == 15
     assert kakeya_size_from_images([9] * 8, 1) == 8
-    assert kakeya_size_from_images([1] * 4, 3) == 12  # degenerate guard
     # s^n = 2^80 is past int64, which would wrap it to 0: the terms are Python ints
     total = kakeya_size_from_images(np.array([2**20] * 3, dtype=np.int64), 4)
     assert total == 3 * (2**80 - 1) // (2**20 - 1)
@@ -35,6 +34,8 @@ def test_size_from_images_frozen():
         kakeya_size_from_images([2], 0)
     with pytest.raises(ValueError):
         kakeya_size_from_images([0], 2)
+    with pytest.raises(ValueError):  # |I(t)| = 1 only for an affine map
+        kakeya_size_from_images([1] * 4, 3)
 
 
 @pytest.mark.parametrize("m", range(2, 7))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from kakeyagf import cli, parallel
-from kakeyagf.bluher import BluherCount
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +86,8 @@ def test_stage_rows_match_across_workers():
         "bluher-agreement", "gold-image-profile", "half-gold-structure",
         "quartic-fiber-formulas", "quartic-image-exact", "quartic-floor-sharpness",
         "kakeya-construction", "bound-dominance", "floor-bound-integer-path"]
-    assert all(isinstance(r, BluherCount) for r in serial[0][1])
+    assert all(list(r) == ["m", "i", "d", "n0_formula", "n0_bruteforce", "agree"]
+               for r in serial[0][1])
     assert serial == cli._stage_rows(7, 2)
 
 
