@@ -22,7 +22,11 @@ point set can be slightly smaller; both numbers are recorded, and bound
 comparisons use the block total, which only overstates the distinct count.
 
 Points are packed into single ints, coordinate k in bits k*m..k*m+m-1, so
-translating a point along a direction is one XOR. The verifier takes all
+translating a point along a direction is one XOR. A point set lives in a
+bool bitmap of F_q^n indexed by the packed point: the blocks are scattered
+into one, which deduplicates them, and the verifier tests membership in
+one. Every set `build_kakeya` materializes has q^n <= 2^28, so a bitmap
+takes at most 256 MB. The verifier takes all
 directions of one lead coordinate at once: every line in such a direction
 crosses K's smallest slice along that coordinate, so it starts from the
 (direction, slice point) pairs and keeps those whose next point along the
@@ -124,50 +128,29 @@ def build_kakeya(field: Field, n: int, fn: FunctionSpec, materialize: bool = Tru
 def kakeya_blocks(field: Field, n: int, fn: FunctionSpec) -> tuple[np.ndarray, int]:
     """The sorted distinct packed points of every (j, t) block, and the blocks' tuple count.
 
-    The image sets come from one sweep of every slope, and no closed form
-    is read.
+    Each block is scattered into a bitmap of F_q^n as it is enumerated,
+    which drops the tuples two blocks share. The image sets come from one
+    sweep of every slope, and no closed form is read.
     """
     m = field.m
     if n * m > PACKED_BITS:
         raise ValueError(f"packed points need n*m <= {PACKED_BITS} bits, got {n * m}")
-    blocks = []
+    bitmap = np.zeros(field.q ** n, dtype=bool)
+    count = 0
     for t, vals in image_sets(field, fn, range(field.q)):
         prefix = np.zeros(1, dtype=np.int64)  # packed x_1..x_j over I_f(t)^j
         for j in range(n):
             if j:
                 prefix = (prefix[:, None] | vals << ((j - 1) * m)).ravel()
-            blocks.append(prefix | t << (j * m))
-    return _sorted_distinct(np.concatenate(blocks)), sum(b.size for b in blocks)
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """np.unique for a 1-d array, without the numpy.ma import np.unique makes."""
-    s = np.sort(a)
-    keep = np.ones(s.size, dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
+            bitmap[prefix | t << (j * m)] = True
+            count += prefix.size
+    return np.flatnonzero(bitmap), count
 
 
 @dataclass
 class VerificationResult:
     ok: bool
     missing: list[tuple[int, ...]]
-
-
-def _bitmap_fits(universe: int, count: int) -> bool:
-    """Is a bool bitmap over `universe` packed points no bigger than `count` int64s?"""
-    return universe <= 8 * count
-
-
-def _membership(pts: np.ndarray, universe: int):
-    """A test `member(cand) -> bool array` for the sorted points: a bitmap
-    where `_bitmap_fits`, a binary search otherwise."""
-    if _bitmap_fits(universe, pts.size):
-        bitmap = np.zeros(universe, dtype=bool)
-        bitmap[pts] = True
-        return lambda cand: bitmap[cand]
-    last = max(pts.size - 1, 0)
-    return lambda cand: pts[np.minimum(np.searchsorted(pts, cand), last)] == cand
 
 
 def verify_kakeya(ks: KakeyaSet) -> VerificationResult:
@@ -181,13 +164,16 @@ def verify_kakeya(ks: KakeyaSet) -> VerificationResult:
     anchor) pairs are filtered one scalar u at a time, in blocks of at
     most PAIR_BLOCK pairs; a block holds at least one direction with all
     its anchors, so a slice above PAIR_BLOCK points makes a larger block.
+    Membership is one lookup in a bitmap of F_q^n set from `ks.points`, so
+    the points may come in any order and repeat.
     """
     if ks.points is None:
         raise ValueError("verification needs materialized points")
     field = ks.field
     q, m, n = field.q, field.m, ks.n
-    pts = np.sort(ks.points)
-    member = _membership(pts, q ** n)
+    pts = ks.points
+    member = np.zeros(q ** n, dtype=bool)  # member[p]: is packed point p in K?
+    member[pts] = True
     scalars = np.arange(q, dtype=np.int64)
     missing = []
     for lead in range(n):
@@ -202,10 +188,10 @@ def verify_kakeya(ks: KakeyaSet) -> VerificationResult:
             step = np.tile((scalars << (lead * m))[:, None], idx.size)
             for j in range(free):  # step[u, i] = packed u*d for the block's i-th direction
                 step |= field.mul_arrays(scalars[:, None], rest[:, j]) << ((lead + 1 + j) * m)
-            hit = np.flatnonzero(member(step[1][:, None] ^ anchors))
+            hit = np.flatnonzero(member[step[1][:, None] ^ anchors])
             dirs, base = hit // anchors.size, anchors[hit % anchors.size]
             for u in range(2, q):
-                keep = member(base ^ step[u, dirs])
+                keep = member[base ^ step[u, dirs]]
                 dirs, base = dirs[keep], base[keep]
                 if not dirs.size:
                     break

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kakeyagf.field import (Field, frobenius_class_count, is_irreducible, make_field, poly_mod,
-                            smallest_irreducible, stride_pair, xor_span)
+from kakeyagf.field import (Field, exact_div, frobenius_class_count, is_irreducible, make_field,
+                            poly_mod, smallest_irreducible, stride_pair, xor_span)
 
 from helpers_naive import (elements, kernel_order, naive_irreducibles, naive_is_irreducible,
                            naive_mul, naive_smallest_irreducible)
@@ -382,3 +382,13 @@ def test_field_axioms_property(m, data):
     if a:
         assert f.mul(a, f.pow(a, f.q - 2)) == 1
     assert f.trace_abs(a ^ b) == f.trace_abs(a) ^ f.trace_abs(b)
+
+
+def test_exact_div_flags_a_remainder():
+    # every closed form divides through exact_div, trusting it to raise
+    assert exact_div(12, 4) == 3
+    assert exact_div(np.array([4, 6, 8]), 2).tolist() == [2, 3, 4]
+    with pytest.raises(ArithmeticError):
+        exact_div(7, 2)
+    with pytest.raises(ArithmeticError):
+        exact_div(np.array([4, 6, 7, 8]), 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from kakeyagf import kakeya
 from kakeyagf.field import Field, make_field
 from kakeyagf.fiber import Gold, Quartic, image_sizes_all, image_values, values_all
+from kakeyagf.gold import gold_profile
 from kakeyagf.kakeya import (AffineMapError, KakeyaSet, bound_dominance_rows, bound_eval,
                              build_kakeya, check_construction, construction_case, is_gf2_affine,
                              kakeya_size_from_images, verify_kakeya)
@@ -373,21 +375,60 @@ def test_verify_edge_sets(m, n):
         assert res.missing == sort_verify_missing(field, n, points)
 
 
-def test_membership_routes(monkeypatch):
+def test_verify_bitmap_matches_sort_reference():
+    # all of F_4^4, one line in it, and a built set of F_4^3 with its subsets
     field = make_field(2)
     full = np.arange(4 ** 4, dtype=np.int64)
     line = _line(field, 4, [3, 0, 1, 2], (0, 1, 2, 3))
-    assert kakeya._bitmap_fits(full.size, full.size)
-    assert not kakeya._bitmap_fits(4 ** 4, line.size)
-    assert kakeya._bitmap_fits(800, 100) and not kakeya._bitmap_fits(801, 100)
     ks = build_kakeya(field, 3, Gold(1))
     sets = [(4, full), (4, line)] + [(3, p) for p in _variants(ks, np.random.default_rng(0)).values()]
-    expected = [verify_kakeya(dataclasses.replace(ks, n=n, points=p)) for n, p in sets]
-    assert expected[0].ok and len(expected[1].missing) == len(canonical_directions(4, 4)) - 1
-    for forced in (True, False):
-        monkeypatch.setattr(kakeya, "_bitmap_fits", lambda universe, count: forced)
-        for (n, p), want in zip(sets, expected):
-            assert verify_kakeya(dataclasses.replace(ks, n=n, points=p)) == want
+    results = []
+    for n, points in sets:
+        res = verify_kakeya(dataclasses.replace(ks, n=n, points=points))
+        missing = sort_verify_missing(field, n, points)
+        assert (res.ok, res.missing) == (not missing, missing), (n, points.size)
+        results.append(res)
+    assert results[0].ok and len(results[1].missing) == len(canonical_directions(4, 4)) - 1
+
+
+def _block_total(histogram, n):
+    """sum over t of sum_{j < n} |I(t)|^j, from a size -> slope count histogram."""
+    return sum(c * ((s ** n - 1) // (s - 1)) for s, c in histogram.items())
+
+
+def test_materialized_universes_fit_the_bitmap_bound():
+    # kakeya_blocks and verify_kakeya keep a bool bitmap of all q^n packed
+    # points; every set build_kakeya can materialize has q^n <= 2^28, so a
+    # bitmap stays at 256 MB or less. A q-long size list does not fit in
+    # memory at m = 31, so the block totals come from size histograms.
+    # Past m = 31 only n = 1 packs, whose block total q is past the cap.
+    cap = kakeya.DEFAULT_MATERIALIZE_CAP
+    maps = []
+    for m in range(2, kakeya.PACKED_BITS // 2 + 1):
+        q = 1 << m
+        for i in range(1, m):
+            prof = gold_profile(m, i)
+            maps.append((m, Gold(i), Counter({prof["size_at_zero"]: 1})
+                         + Counter({prof["size_at_nonzero"]: q - 1})))
+        if m <= 12:
+            sizes = image_sizes_all(make_field(m), Quartic())
+            hist = Counter(sizes.tolist())
+            for n in (1, 2, 3):
+                assert _block_total(hist, n) == kakeya_size_from_images(sizes, n)
+        else:
+            # a degree-4 map has at most 4 preimages per value, so |I(t)| >= q/4,
+            # and with that no n >= 2 fits the cap
+            hist = Counter({q // 4: q})
+            assert _block_total(hist, 2) > cap
+        maps.append((m, Quartic(), hist))
+    universes = []
+    for m, fn, hist in maps:
+        for n in range(1, kakeya.PACKED_BITS // m + 1):
+            if _block_total(hist, n) <= cap:
+                universes.append(((1 << m) ** n, m, n, fn))
+    assert max(u[0] for u in universes) == 1 << 28
+    assert [u[1:] for u in universes if u[0] == 1 << 28] == \
+        [(2, 14, Gold(1)), (2, 14, Quartic()), (4, 7, Gold(2))]
 
 
 @pytest.mark.parametrize("pair_block", [1, 16, 40, 700])

@@ -67,6 +67,26 @@ def test_class_histograms_match_single_slope_routes(m):
                 fiber_distribution(field, Quartic(), t).omega, t
 
 
+def test_class_histograms_fold_six_or_more_preimages(monkeypatch):
+    # the degree-4 map never has 5 preimages; a stand-in sweep whose values
+    # at one class slope hit one y six times and another seven times puts
+    # both in column 5, which must then read 2 on that class's rows only
+    field = make_field(4)
+    classes = field.frobenius_classes()
+    rep = int(classes[3])
+    folded = np.array([0] * 6 + [1] * 7 + [2, 3], dtype=np.int64)
+
+    def sweep(field, fn, ts):
+        for t in ts:
+            yield t, folded if t == rep else np.arange(field.q)
+
+    monkeypatch.setattr(quartic, "slope_values", sweep)
+    omega = quartic._class_histograms(field)
+    assert omega[:, 5].tolist() == [2 if c == rep else 0 for c in classes.tolist()]
+    assert omega[rep].tolist() == [field.q - 4, 2, 0, 0, 0, 2]
+    assert np.count_nonzero(classes == rep) > 1
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_fiber_formula_case_matches_full_sweep(m):
     for modulus in naive_irreducibles(m, limit=2):
